@@ -61,8 +61,7 @@ class DepthwiseConv2d : public Layer {
   int64_t macs(const Shape& in) const override;
 
   /// Widest kernel the SIMD path's stack-resident row-pointer array covers;
-  /// wider filters (unseen in practice) run the reference loop, and the
-  /// dw→pointwise fusion planner skips them.
+  /// wider filters (unseen in practice) run the reference loop.
   static constexpr int64_t kMaxSimdKernel = 16;
 
   int64_t channels() const { return channels_; }

@@ -52,9 +52,7 @@ inline constexpr uint32_t kCmdSetWidth = 7;
 /// Deployment is also where the compute graph freezes: both branches' blocks
 /// are cloned, inference-mode BatchNorm is folded into the adjacent conv
 /// weights (nn/fuse.h), remaining conv/dense+activation runs fuse into GEMM
-/// epilogues, depthwise→pointwise (MobileNet separable) pairs fuse into a
-/// single producer-fed GEMM whose intermediate map never materializes, and
-/// weights are pre-packed into microkernel panels
+/// epilogues, and weights are pre-packed into microkernel panels
 /// (Layer::prepare_inference). The engine therefore matches the in-process
 /// TwoBranchModel::forward to ~1e-6 relative error, not bitwise; set
 /// TBNET_DETERMINISTIC=1 to deploy unfolded on the scalar reference kernels

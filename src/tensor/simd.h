@@ -237,13 +237,13 @@ float dot(const float* a, const float* b, int64_t n);
 // bounds-checked path. Vertical padding is the caller's job — rows[ky] ==
 // nullptr marks an out-of-bounds tap row and contributes exactly zero.
 //
-// Determinism contract (the dw→pw producer leans on this): each output
-// pixel's accumulation is an independent chain in (ky, kx) tap order. On FMA
-// ISAs the border pixels finalize with std::fmaf, which rounds identically
-// to the vector FMA lanes, so a pixel's bits depend neither on which side of
-// the interior split covered it nor on how [ox0, ox0 + n) was segmented —
-// computing a row whole or 16 columns at a time gives the same bytes. The
-// scalar ISA uses plain multiply-add throughout (also segment-invariant).
+// Determinism contract: each output pixel's accumulation is an independent
+// chain in (ky, kx) tap order. On FMA ISAs the border pixels finalize with
+// std::fmaf, which rounds identically to the vector FMA lanes, so a pixel's
+// bits depend neither on which side of the interior split covered it nor on
+// how [ox0, ox0 + n) was segmented — computing a row whole or 16 columns at
+// a time gives the same bytes. The scalar ISA uses plain multiply-add
+// throughout (also segment-invariant).
 // Passing scale = 1 / shift = 0 for an affine-free layer is exact (x * 1 + 0
 // round-trips bitwise through fmaf).
 //

@@ -190,14 +190,28 @@ TEST(FusedLowering, ConvForwardDoesNotMaterializeColumnMatrix) {
   nn::Conv2d conv(16, 16, {.kernel = 3, .stride = 1, .pad = 1, .bias = false},
                   rng);
   const Tensor x = Tensor::randn(Shape{1, 16, 32, 32}, rng);
-  ExecutionContext ctx;
-  conv.forward(ctx, x, false);
-  // PR-2 allocated the full [in_c*kh*kw, oh*ow] column matrix from the
-  // arena; the fused path's high-water mark is the per-call A pack plus the
-  // per-chunk panel slabs — an order of magnitude below it.
+  // The materialized lowering allocated the full [in_c*kh*kw, oh*ow] column
+  // matrix from the arena; the fused path's high-water mark is the per-call
+  // A pack plus the per-chunk panel slabs — well below it at every pool
+  // size, with the same output bits as one thread.
   const int64_t colbuf_floats = 16 * 3 * 3 * 32 * 32;
-  EXPECT_GT(ctx.arena().capacity_floats(), 0);
-  EXPECT_LT(ctx.arena().capacity_floats(), colbuf_floats / 2);
+  Tensor base;
+  for (int threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
+    ExecutionContext ctx;
+    ctx.set_pool(&pool);
+    const Tensor got = conv.forward(ctx, x, false);
+    EXPECT_GT(ctx.arena().capacity_floats(), 0) << "threads=" << threads;
+    EXPECT_LT(ctx.arena().capacity_floats(), colbuf_floats / 2)
+        << "threads=" << threads;
+    if (threads == 1) {
+      base = got;
+      continue;
+    }
+    for (int64_t i = 0; i < got.numel(); ++i) {
+      ASSERT_EQ(got[i], base[i]) << "threads=" << threads << " at " << i;
+    }
+  }
 }
 
 TEST(FusedLowering, Direct1x1UsesInputInPlace) {

@@ -10,7 +10,6 @@ root) and flags any metric that regressed by more than the threshold:
   * "conv_lowering" shapes: fused_ms (lower is better)
   * "fused_conv" shapes: fused_ms (lower is better)
   * "depthwise" shapes: simd_ms (lower is better)
-  * "depthwise_fused" shapes: fused_ms (lower is better)
   * "soak" (bench_serving): goodput_vs_1x (higher is better) — the bounded
     queue's goodput at 10x offered load as a fraction of 1x goodput. The
     ratio is dimensionless (both sides measured on the same run/host), so it
@@ -274,8 +273,6 @@ def main():
                            args.threshold, args.min_flops, "fused_conv")
     regressions += compare(baseline, current, "simd_ms", False,
                            args.threshold, args.min_flops, "depthwise")
-    regressions += compare(baseline, current, "fused_ms", False,
-                           args.threshold, args.min_flops, "depthwise_fused")
     regressions += compare_soak(baseline, current, args.threshold)
     regressions += compare_chaos(baseline, current, args.threshold)
     regressions += compare_elastic(baseline, current, args.threshold)
