@@ -27,6 +27,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "models/model_zoo.h"
@@ -42,6 +43,21 @@ namespace {
 
 using namespace tbnet;
 using Clock = std::chrono::steady_clock;
+
+/// `eng` as one worker's batch function.
+runtime::InferenceServer::BatchFn infer_fn(runtime::DeployedTBNet* eng) {
+  return [eng](const Tensor& nchw) { return eng->infer_batch(nchw); };
+}
+
+/// Serves engines[w] on worker slot w, without recovery; the caller pins
+/// min_workers == max_workers == engines.size().
+runtime::InferenceServer::EngineFactory serve_engines(
+    const std::vector<std::unique_ptr<runtime::DeployedTBNet>>& engines) {
+  return [&engines](int w) {
+    return std::make_pair(infer_fn(engines[static_cast<size_t>(w)].get()),
+                          nullptr);
+  };
+}
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -147,7 +163,7 @@ SoakPoint run_soak(runtime::DeployedTBNet& engine, tee::TeeContext& ctx,
   double wall_s = 0.0;
   {
     runtime::InferenceServer server(
-        [&engine](const Tensor& nchw) { return engine.infer_batch(nchw); },
+        [&engine](int) { return std::make_pair(infer_fn(&engine), nullptr); },
         scfg);
     Rng srng(31);
     std::vector<Tensor> pool;
@@ -229,8 +245,6 @@ ChaosPoint run_chaos(const core::TwoBranchModel& tb,
   std::vector<std::unique_ptr<tee::SecureWorld>> worlds;
   std::vector<std::unique_ptr<tee::TeeContext>> tee_ctxs;
   std::vector<std::unique_ptr<runtime::DeployedTBNet>> engines;
-  std::vector<runtime::InferenceServer::BatchFn> fns;
-  std::vector<runtime::InferenceServer::RecoverFn> recover;
   Rng crng(41);
   const Tensor canary = Tensor::randn(Shape{1, 3, 32, 32}, crng);
   for (int w = 0; w < 2; ++w) {
@@ -242,12 +256,6 @@ ChaosPoint run_chaos(const core::TwoBranchModel& tb,
         runtime::DeployedTBNet::Options{.max_batch = 64}));
     if (device_timing) engines.back()->session().simulate_timing(profile);
     engines.back()->infer_batch(Tensor::randn(Shape{4, 3, 32, 32}, crng));
-    runtime::DeployedTBNet* eng = engines.back().get();
-    fns.push_back([eng](const Tensor& nchw) { return eng->infer_batch(nchw); });
-    // Recovery = full session re-establishment: tear down, re-deploy the TA
-    // image (re-verifying its checksums), reopen, canary-infer. Throws while
-    // the injected permanent fault persists — the supervisor backs off.
-    recover.push_back([eng, canary] { eng->reopen(canary); });
   }
 
   runtime::InferenceServer::Config scfg;
@@ -259,6 +267,8 @@ ChaosPoint run_chaos(const core::TwoBranchModel& tb,
   scfg.breaker_threshold = 1;
   scfg.recovery_backoff = std::chrono::milliseconds(2);
   scfg.recovery_max_backoff = std::chrono::milliseconds(50);
+  scfg.min_workers = 2;
+  scfg.max_workers = 2;
 
   ChaosPoint p;
   p.soak_seconds = seconds;
@@ -266,7 +276,17 @@ ChaosPoint run_chaos(const core::TwoBranchModel& tb,
   p.kill_at_s = seconds * 0.5;
   p.heal_at_s = seconds * 0.7;
   {
-    runtime::InferenceServer server(std::move(fns), std::move(recover), scfg);
+    runtime::InferenceServer server(
+        [&engines, canary](int w) {
+          runtime::DeployedTBNet* eng = engines[static_cast<size_t>(w)].get();
+          // Recovery = full session re-establishment: tear down, re-deploy
+          // the TA image (re-verifying its checksums), reopen, canary-infer.
+          // Throws while the injected permanent fault persists — the
+          // supervisor backs off.
+          return std::make_pair(infer_fn(eng),
+                                [eng, canary] { eng->reopen(canary); });
+        },
+        scfg);
     Rng srng(43);
     std::vector<Tensor> pool;
     for (int i = 0; i < 32; ++i) {
@@ -469,11 +489,7 @@ ElasticPoint run_elastic(const core::TwoBranchModel& tb,
       if (device_timing) {
         slots.engines.back()->session().simulate_timing(profile);
       }
-      runtime::DeployedTBNet* eng = slots.engines.back().get();
-      runtime::InferenceServer::BatchFn fn =
-          [eng](const Tensor& nchw) { return eng->infer_batch(nchw); };
-      return std::make_pair(std::move(fn),
-                            runtime::InferenceServer::RecoverFn{});
+      return std::make_pair(infer_fn(slots.engines.back().get()), nullptr);
     };
   };
 
@@ -593,7 +609,7 @@ int main(int argc, char** argv) {
   runtime::ServingStats server_stats;
   {
     runtime::InferenceServer server(
-        [&engine](const Tensor& nchw) { return engine.infer_batch(nchw); },
+        [&engine](int) { return std::make_pair(infer_fn(&engine), nullptr); },
         scfg);
     const int64_t per_thread = 48;
     std::vector<std::thread> submitters;
@@ -637,7 +653,6 @@ int main(int argc, char** argv) {
     std::vector<std::unique_ptr<tee::SecureWorld>> worlds;
     std::vector<std::unique_ptr<tee::TeeContext>> tee_ctxs;
     std::vector<std::unique_ptr<runtime::DeployedTBNet>> engines;
-    std::vector<runtime::InferenceServer::BatchFn> fns;
     Rng wrng(29);
     for (int w = 0; w < nworkers; ++w) {
       worlds.push_back(
@@ -650,14 +665,14 @@ int main(int argc, char** argv) {
       engines.back()->set_intra_op_width(
           std::max(1, pool_threads / nworkers));
       engines.back()->infer_batch(Tensor::randn(Shape{4, 3, 32, 32}, wrng));
-      runtime::DeployedTBNet* eng = engines.back().get();
-      fns.push_back(
-          [eng](const Tensor& nchw) { return eng->infer_batch(nchw); });
     }
     WorkerPoint p;
     p.workers = nworkers;
     p.intra_op_width = std::max(1, pool_threads / nworkers);
-    runtime::InferenceServer server(std::move(fns), scfg);
+    runtime::InferenceServer::Config wcfg = scfg;
+    wcfg.min_workers = nworkers;
+    wcfg.max_workers = nworkers;
+    runtime::InferenceServer server(serve_engines(engines), wcfg);
     const int64_t per_thread = 48;
     const auto t0 = Clock::now();
     std::vector<std::thread> submitters;
@@ -714,15 +729,14 @@ int main(int argc, char** argv) {
       if (device_timing) engines.back()->session().simulate_timing(profile);
       engines.back()->infer_batch(Tensor::randn(Shape{4, 3, 32, 32}, wrng));
     }
+    runtime::InferenceServer::Config wcfg = scfg;
+    wcfg.min_workers = width_cap.workers;
+    wcfg.max_workers = width_cap.workers;
     for (const bool capped : {false, true}) {
-      std::vector<runtime::InferenceServer::BatchFn> fns;
       for (auto& e : engines) {
         e->set_intra_op_width(capped ? width_cap.capped_width : 0);
-        runtime::DeployedTBNet* eng = e.get();
-        fns.push_back(
-            [eng](const Tensor& nchw) { return eng->infer_batch(nchw); });
       }
-      runtime::InferenceServer server(std::move(fns), scfg);
+      runtime::InferenceServer server(serve_engines(engines), wcfg);
       const int64_t per_thread = 48;
       const auto t0 = Clock::now();
       std::vector<std::thread> submitters;

@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "models/model_zoo.h"
@@ -85,19 +86,20 @@ int main() {
   std::vector<std::unique_ptr<tee::SecureWorld>> worlds;
   std::vector<std::unique_ptr<tee::TeeContext>> ctxs;
   std::vector<std::unique_ptr<runtime::DeployedTBNet>> engines;
-  std::vector<runtime::InferenceServer::BatchFn> fns;
-  std::vector<runtime::InferenceServer::RecoverFn> recover;
   Rng rng(51);
   const Tensor canary = Tensor::randn(Shape{1, 3, 32, 32}, rng);
-  for (int w = 0; w < 2; ++w) {
+  // The server calls this once per worker slot: each worker gets its own
+  // secure world, TEE session and engine, recovered by reopen + canary.
+  auto deploy_worker = [&](int w) {
     worlds.push_back(std::make_unique<tee::SecureWorld>());
     ctxs.push_back(std::make_unique<tee::TeeContext>(*worlds.back()));
     engines.push_back(std::make_unique<runtime::DeployedTBNet>(
         tb, *ctxs.back(), "tbnet-demo-" + std::to_string(w)));
     runtime::DeployedTBNet* eng = engines.back().get();
-    fns.push_back([eng](const Tensor& nchw) { return eng->infer_batch(nchw); });
-    recover.push_back([eng, canary] { eng->reopen(canary); });
-  }
+    return std::make_pair(
+        [eng](const Tensor& nchw) { return eng->infer_batch(nchw); },
+        [eng, canary] { eng->reopen(canary); });
+  };
 
   runtime::InferenceServer::Config scfg;
   scfg.max_batch = 8;
@@ -105,7 +107,9 @@ int main() {
   scfg.breaker_threshold = 1;
   scfg.recovery_backoff = std::chrono::milliseconds(5);
   scfg.recovery_max_backoff = std::chrono::milliseconds(80);
-  runtime::InferenceServer server(std::move(fns), std::move(recover), scfg);
+  scfg.min_workers = 2;  // a fixed pool of two: min == max never scales
+  scfg.max_workers = 2;
+  runtime::InferenceServer server(deploy_worker, scfg);
 
   int64_t ok = submit_burst(server, 32, rng);
   std::printf("warm traffic: %lld/32 Ok\n", static_cast<long long>(ok));

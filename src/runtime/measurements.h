@@ -163,12 +163,11 @@ struct ServingStats {
   int64_t retries = 0;
   int64_t faults_injected = 0;
   // ---- elasticity accounting (PR 10). Autoscaler decisions made by the
-  // supervisor tick; all 0 on a fixed-pool server.
+  // supervisor tick; both 0 when min_workers == max_workers.
   int64_t scale_ups = 0;    ///< supervisor unparked (or spawned) a worker
   int64_t scale_downs = 0;  ///< supervisor parked a worker
   /// Most workers simultaneously active (Healthy/Quarantined/Recovering —
-  /// i.e. in rotation, not Parked/Dead) at any point; on a fixed pool this
-  /// is simply the worker count.
+  /// i.e. in rotation, not Parked/Dead) at any point; at least min_workers.
   int64_t workers_high_water = 0;
   /// Seconds since the server started, stamped when stats() snapshots —
   /// the denominator for worker utilization.

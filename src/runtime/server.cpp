@@ -35,56 +35,6 @@ const char* status_name(Status s) {
   return "unknown";
 }
 
-InferenceServer::InferenceServer(std::vector<BatchFn> engines,
-                                 std::vector<RecoverFn> recovery, Config cfg)
-    : engines_(std::move(engines)),
-      recovery_(std::move(recovery)),
-      cfg_(cfg),
-      start_(Clock::now()) {
-  if (engines_.empty()) {
-    throw std::invalid_argument("InferenceServer: no engine functions");
-  }
-  for (const BatchFn& e : engines_) {
-    if (!e) {
-      throw std::invalid_argument("InferenceServer: null engine function");
-    }
-  }
-  if (!recovery_.empty() && recovery_.size() != engines_.size()) {
-    throw std::invalid_argument(
-        "InferenceServer: recovery functions must be empty or one per engine");
-  }
-  if (cfg_.max_batch <= 0) {
-    throw std::invalid_argument("InferenceServer: max_batch must be positive");
-  }
-  if (cfg_.queue_capacity < 0) {
-    throw std::invalid_argument(
-        "InferenceServer: queue_capacity must be >= 0 (0 = unbounded)");
-  }
-  if (cfg_.input_chw.ndim() != 0 && cfg_.input_chw.ndim() != 3) {
-    throw std::invalid_argument("InferenceServer: input_chw must be CHW, got " +
-                                cfg_.input_chw.str());
-  }
-  expected_chw_ = cfg_.input_chw;
-  stats_.per_worker.resize(engines_.size());
-  stats_.workers_high_water = static_cast<int64_t>(engines_.size());
-  control_.resize(engines_.size());
-  last_tick_ = start_;
-  workers_.reserve(engines_.size());
-  for (int w = 0; w < static_cast<int>(engines_.size()); ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
-  }
-  supervisor_ = std::thread([this] { supervisor_loop(); });
-}
-
-InferenceServer::InferenceServer(BatchFn engine, Config cfg)
-    : InferenceServer(
-          [&engine] {
-            std::vector<BatchFn> one;
-            one.push_back(std::move(engine));
-            return one;
-          }(),
-          std::vector<RecoverFn>{}, cfg) {}
-
 InferenceServer::InferenceServer(EngineFactory factory, Config cfg)
     : factory_(std::move(factory)), cfg_(cfg), start_(Clock::now()) {
   if (!factory_) {
@@ -104,6 +54,12 @@ InferenceServer::InferenceServer(EngineFactory factory, Config cfg)
   if (cfg_.input_chw.ndim() != 0 && cfg_.input_chw.ndim() != 3) {
     throw std::invalid_argument("InferenceServer: input_chw must be CHW, got " +
                                 cfg_.input_chw.str());
+  }
+  // The supervisor ticks whenever an interval has elapsed and only waits
+  // when none has; a zero interval would re-tick forever under mu_.
+  if (cfg_.autoscale_interval.count() <= 0) {
+    throw std::invalid_argument(
+        "InferenceServer: autoscale_interval must be positive");
   }
   expected_chw_ = cfg_.input_chw;
   // Every slot exists from the start — engines_/recovery_/control_ never
@@ -224,9 +180,7 @@ bool InferenceServer::trip_breaker_locked(int w) {
   wc.strikes = 0;
   ++stats_.quarantines;
   ++stats_.per_worker[static_cast<size_t>(w)].quarantines;
-  const bool recoverable = static_cast<size_t>(w) < recovery_.size() &&
-                           recovery_[static_cast<size_t>(w)] != nullptr;
-  if (recoverable) {
+  if (recovery_[static_cast<size_t>(w)]) {
     wc.health = WorkerHealth::kQuarantined;
     wc.recovery_attempts = 0;
     wc.next_recovery = Clock::now() + cfg_.recovery_backoff;
@@ -345,10 +299,9 @@ std::future<InferenceResult> InferenceServer::submit(
 void InferenceServer::drain() {
   // Requeued riders keep their in_flight_ slot, so this also waits for work
   // bounced off a quarantined worker to be re-served (possibly by the same
-  // worker after recovery). With max_recovery_attempts <= 0 and a recovery
-  // that never succeeds, that wait is unbounded — cap the attempts (the
-  // exhausted worker dies and the backlog resolves) when drain() must
-  // terminate without a healthy engine.
+  // worker after recovery). While every worker is quarantined and recovery
+  // keeps failing, that wait is unbounded; shutdown() resolves such a
+  // backlog kRejected instead.
   MutexLock lock(mu_);
   idle_cv_.wait(lock, [this] {
     mu_.assert_held();  // wait re-acquires mu_ before evaluating
@@ -749,10 +702,7 @@ int InferenceServer::autoscale_tick(Clock::time_point now) {
   if (now < next_scale_allowed_) return -1;  // cooldown: no action this tick
 
   // Scale UP when the backlog exceeds one batch round per healthy worker.
-  const double backlog_limit = cfg_.scale_up_queue_factor *
-                               static_cast<double>(cfg_.max_batch) *
-                               static_cast<double>(std::max(1, healthy));
-  if (static_cast<double>(queued) > backlog_limit &&
+  if (queued > cfg_.max_batch * std::max(1, healthy) &&
       active < cfg_.max_workers) {
     for (int w = 0; w < static_cast<int>(control_.size()); ++w) {
       WorkerControl& wc = control_[static_cast<size_t>(w)];
@@ -805,8 +755,8 @@ void InferenceServer::supervisor_loop() {
   for (;;) {
     if (stop_) return;
     const auto now = Clock::now();
-    // Elastic servers evaluate the scaling policy every autoscale_interval.
-    if (factory_ && now >= last_tick_ + cfg_.autoscale_interval) {
+    // Evaluate the scaling policy every autoscale_interval.
+    if (now >= last_tick_ + cfg_.autoscale_interval) {
       const int spawn = autoscale_tick(now);
       if (spawn >= 0) {
         // Build the new slot's engine on this thread, outside the lock —
@@ -854,16 +804,10 @@ void InferenceServer::supervisor_loop() {
         due = w;
       }
     }
-    // Elastic servers never park indefinitely — the next tick bounds every
-    // wait so the scaling policy keeps sampling even without trips.
-    Clock::time_point wake = earliest;
-    if (factory_) {
-      wake = std::min(wake, last_tick_ + cfg_.autoscale_interval);
-    }
-    if (wake == Clock::time_point::max()) {
-      supervisor_cv_.wait(lock);  // woken by trips and shutdown
-      continue;
-    }
+    // The next tick bounds every wait so the scaling policy keeps sampling
+    // even without trips.
+    const Clock::time_point wake =
+        std::min(earliest, last_tick_ + cfg_.autoscale_interval);
     if (now < wake) {
       supervisor_cv_.wait_until(lock, wake);
       continue;
@@ -879,18 +823,12 @@ void InferenceServer::supervisor_loop() {
     // thread is parked (non-Healthy workers never claim), so the engine is
     // not invoked concurrently.
     bool recovered = true;
-    std::string error;
     try {
       recover();
-    } catch (const std::exception& e) {
-      recovered = false;
-      error = e.what();
     } catch (...) {
       recovered = false;
-      error = "unknown recovery failure";
     }
     lock.lock();
-    std::deque<Pending> flushed;
     if (recovered) {
       wc.health = WorkerHealth::kHealthy;
       wc.strikes = 0;
@@ -901,37 +839,16 @@ void InferenceServer::supervisor_loop() {
     } else {
       ++stats_.canary_failures;
       ++wc.recovery_attempts;
-      if (cfg_.max_recovery_attempts > 0 &&
-          wc.recovery_attempts >= cfg_.max_recovery_attempts) {
-        wc.health = WorkerHealth::kDead;
-        if (live_workers_locked() == 0) {
-          flushed = take_queue_locked();
-          stats_.requests += static_cast<int64_t>(flushed.size());
-          stats_.engine_errors += static_cast<int64_t>(flushed.size());
-        }
-      } else {
-        // Capped exponential backoff: attempt k waits base * 2^(k-1).
-        auto backoff = cfg_.recovery_backoff;
-        for (int k = 1; k < wc.recovery_attempts + 1 &&
-                        backoff < cfg_.recovery_max_backoff;
-             ++k) {
-          backoff *= 2;
-        }
-        wc.next_recovery =
-            Clock::now() + std::min(backoff, cfg_.recovery_max_backoff);
-        wc.health = WorkerHealth::kQuarantined;
+      // Capped exponential backoff: attempt k waits base * 2^(k-1).
+      auto backoff = cfg_.recovery_backoff;
+      for (int k = 1; k < wc.recovery_attempts + 1 &&
+                      backoff < cfg_.recovery_max_backoff;
+           ++k) {
+        backoff *= 2;
       }
-    }
-    if (!flushed.empty()) {
-      lock.unlock();
-      for (Pending& p : flushed) {
-        resolve_failure(p, Status::kEngineError,
-                        "no live workers (recovery exhausted: " + error + ")");
-      }
-      lock.lock();
-      in_flight_ -= static_cast<int64_t>(flushed.size());
-      if (in_flight_ == 0) idle_cv_.notify_all();
-      space_cv_.notify_all();
+      wc.next_recovery =
+          Clock::now() + std::min(backoff, cfg_.recovery_max_backoff);
+      wc.health = WorkerHealth::kQuarantined;
     }
   }
 }

@@ -23,14 +23,15 @@
 // e.g. TEE retry exhaustion, see runtime/deployed.h). The failure counters
 // land in runtime::ServingStats alongside the latency recorders.
 //
-// Inter-op parallelism: the server runs one dispatch worker PER ENGINE
-// function it is given. Each engine is invoked from exactly one worker
-// thread, only ever for one batch at a time, so a non-thread-safe engine
-// (DeployedTBNet, FullTeeDeployment, a bare Sequential) is fine — the
-// caller supplies N independent engines (each with its own
-// ExecutionContext/arena; for DeployedTBNet that means one engine instance
-// per worker) to serve N batches concurrently. Intra-op kernel threads nest
-// under the dispatch workers on the shared ThreadPool, whose work-stealing
+// Inter-op parallelism: the server runs one dispatch worker per slot, up to
+// Config::max_workers, and an EngineFactory builds each slot's engine. Each
+// engine is invoked from exactly one worker thread, only ever for one batch
+// at a time, so a non-thread-safe engine (DeployedTBNet, FullTeeDeployment,
+// a bare Sequential) is fine — the factory builds N independent engines
+// (each with its own ExecutionContext/arena; for DeployedTBNet that means
+// one engine instance per slot) to serve N batches concurrently. A fixed
+// pool is min_workers == max_workers. Intra-op kernel threads nest under
+// the dispatch workers on the shared ThreadPool, whose work-stealing
 // scheduler lets those nested parallel_fors actually share cores.
 //
 // Supervision (PR 8): permanent engine loss is survivable. Each worker
@@ -41,11 +42,10 @@
 // workers (their futures resolve from whichever batch finally runs them),
 // and a supervisor thread retries the worker's RecoverFn (e.g.
 // DeployedTBNet::reopen with a canary) under capped exponential backoff
-// until the worker re-enters the pool or exhausts its attempt budget and is
-// marked dead. Workers without a RecoverFn go straight to dead. When the
-// last live worker dies, everything queued (and every later submit)
-// resolves with a typed status instead of hanging. Health states and the
-// quarantine/recovery counters land in ServingStats.
+// until the worker re-enters the pool. Workers without a RecoverFn go
+// straight to dead. When the last live worker dies, everything queued (and
+// every later submit) resolves with a typed status instead of hanging.
+// Health states and the quarantine/recovery counters land in ServingStats.
 
 #include <array>
 #include <chrono>
@@ -163,9 +163,6 @@ class InferenceServer {
     /// recovery_backoff * 2^(k-1), capped at recovery_max_backoff.
     std::chrono::microseconds recovery_backoff{5000};
     std::chrono::microseconds recovery_max_backoff{1000000};
-    /// Failed recovery attempts before a quarantined worker is marked dead;
-    /// <= 0 = keep trying for the server's lifetime.
-    int max_recovery_attempts = 0;
     /// A batch whose engine call exceeds this marks the worker suspect: one
     /// breaker strike (counted in ServingStats::watchdog_trips) even when
     /// the batch succeeded, so a wedged-but-eventually-returning engine
@@ -173,26 +170,21 @@ class InferenceServer {
     /// <= 0 disables the watchdog.
     std::chrono::microseconds watchdog_timeout{0};
     // ---- elasticity (PR 10) -------------------------------------------
-    // Only read by the EngineFactory constructor; the fixed-pool
-    // constructors ignore all five (their worker count is engines.size()).
-    /// Workers the elastic server keeps active at all times; the factory is
-    /// invoked for them at construction. Must be >= 1 and <= max_workers.
+    /// Workers the server keeps active at all times; the factory is invoked
+    /// for them at construction. Must be >= 1 and <= max_workers; equal to
+    /// max_workers for a fixed pool, which never scales.
     int min_workers = 1;
     /// Hard ceiling on concurrently active workers. The factory is invoked
     /// lazily (on the supervisor thread, first time a slot scales up), so an
     /// engine that is never needed is never built.
     int max_workers = 1;
-    /// How often the supervisor evaluates the scaling policy.
+    /// How often the supervisor evaluates the scaling policy; must be > 0.
     std::chrono::microseconds autoscale_interval{10000};
     /// Minimum gap between two scaling actions (up OR down). Hysteresis: a
     /// load spike that scales up cannot bounce straight back down — the
     /// utilization signal gets at least one cooldown to reflect the new
     /// pool before the next decision.
     std::chrono::microseconds autoscale_cooldown{100000};
-    /// Scale up when queued > scale_up_queue_factor * max_batch * healthy
-    /// workers — i.e. the backlog exceeds what the active pool can clear in
-    /// one batch round per worker.
-    double scale_up_queue_factor = 1.0;
     /// Park a worker when mean active-worker utilization since the last
     /// tick falls below this AND the queue is empty. 0 disables scale-down.
     double scale_down_utilization = 0.3;
@@ -205,36 +197,26 @@ class InferenceServer {
   /// backs off and retries.
   using RecoverFn = std::function<void()>;
 
-  /// One dispatch worker per engine; engines must all serve the same model
-  /// (the server round-robins batches across them by availability, so any
-  /// request may land on any engine). `recovery` is empty (no worker can
-  /// recover: a tripped breaker is terminal) or one entry per engine (a
-  /// null entry makes that worker unrecoverable).
-  InferenceServer(std::vector<BatchFn> engines, std::vector<RecoverFn> recovery,
-                  Config cfg);
-  InferenceServer(std::vector<BatchFn> engines, Config cfg)
-      : InferenceServer(std::move(engines), std::vector<RecoverFn>{},
-                        std::move(cfg)) {}
-  InferenceServer(BatchFn engine, Config cfg);
-  explicit InferenceServer(BatchFn engine)
-      : InferenceServer(std::move(engine), Config{}) {}
-
   /// Builds one worker's engine + recovery pair — e.g. deploy a fresh
-  /// DeployedTBNet (the reopen()-style deploy path) and wrap it. Invoked on
-  /// the constructing thread for the first min_workers slots and on the
-  /// supervisor thread (outside the server lock) when the autoscaler spawns
-  /// a later slot; never invoked concurrently with itself. A throw during
-  /// construction propagates; a throw during scale-up cancels that scale-up
-  /// (counted in ServingStats::canary_failures) and the slot stays parked.
+  /// DeployedTBNet (the reopen()-style deploy path) and wrap it. Every
+  /// engine must serve the same model (any request may land on any
+  /// worker); a null RecoverFn makes that worker unrecoverable (a tripped
+  /// breaker is terminal). Invoked on the constructing thread for the first
+  /// min_workers slots and on the supervisor thread (outside the server
+  /// lock) when the autoscaler spawns a later slot; never invoked
+  /// concurrently with itself. A throw during construction propagates; a
+  /// throw during scale-up cancels that scale-up (counted in
+  /// ServingStats::canary_failures) and the slot stays parked.
   using EngineFactory = std::function<std::pair<BatchFn, RecoverFn>(int worker)>;
 
-  /// Elastic server: cfg.min_workers..cfg.max_workers dispatch workers,
-  /// scaled by the supervisor off queue depth and worker utilization (see
-  /// the Config knobs). Slots above min_workers start Parked with no engine
-  /// built; scale-up activates them (building the engine on first use) and
-  /// scale-down parks the highest active slot again. Parked workers hold no
-  /// batch mid-park — a worker finishes its claimed batch before it stops
-  /// claiming — so drain()/shutdown() accounting is unchanged.
+  /// cfg.min_workers..cfg.max_workers dispatch workers, scaled by the
+  /// supervisor every autoscale_interval: up when the backlog exceeds one
+  /// batch round per healthy worker (queued > max_batch * healthy), down
+  /// under scale_down_utilization. Slots above min_workers start Parked with
+  /// no engine built; scale-up activates them (building the engine on first
+  /// use) and scale-down parks the highest active slot again. Parked workers
+  /// hold no batch mid-park — a worker finishes its claimed batch before it
+  /// stops claiming — so drain()/shutdown() accounting is unchanged.
   InferenceServer(EngineFactory factory, Config cfg);
 
   /// Drains the queue and joins the workers.
@@ -270,9 +252,8 @@ class InferenceServer {
   ServingStats stats() const;
 
   const Config& config() const { return cfg_; }
-  /// Worker SLOTS (fixed pool: the engine count; elastic: max_workers —
-  /// ServingStats::per_worker has this many entries; parked slots show
-  /// health kParked with zero batches).
+  /// Worker slots: cfg.max_workers. ServingStats::per_worker has this many
+  /// entries; parked slots show health kParked with zero batches.
   int workers() const { return static_cast<int>(engines_.size()); }
 
  private:
@@ -301,7 +282,7 @@ class InferenceServer {
 
   void worker_loop(int worker);
   void supervisor_loop();
-  /// One autoscaler evaluation (elastic servers only), run entirely under
+  /// One autoscaler evaluation, run entirely under
   /// mu_. Unpark/park actions apply inline; when scale-up needs an engine
   /// BUILT, returns the slot (marked Recovering so no tick re-picks it) for
   /// supervisor_loop to run the factory outside the lock. Returns -1 when
@@ -334,10 +315,13 @@ class InferenceServer {
   /// Resolves `p` with a non-Ok status, stamping latency fields.
   static void resolve_failure(Pending& p, Status status, std::string error);
 
-  std::vector<BatchFn> engines_;  ///< engines_[w] runs on workers_[w] only
-  std::vector<RecoverFn> recovery_;  ///< empty, or one (maybe null) per engine
-  /// Builds engines for scaled-up slots; null on a fixed pool. Only the
-  /// supervisor thread invokes it after construction, always outside mu_.
+  // One entry per slot, sized max_workers at construction and never
+  // reallocated. engines_[w] runs on workers_[w] only and is null until the
+  // slot's engine is built; a null recovery_[w] makes worker w unrecoverable.
+  std::vector<BatchFn> engines_;
+  std::vector<RecoverFn> recovery_;
+  /// Builds engines for scaled-up slots. Only the supervisor thread invokes
+  /// it after construction, always outside mu_.
   EngineFactory factory_;
   Config cfg_;
   std::chrono::steady_clock::time_point start_;

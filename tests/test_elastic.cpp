@@ -15,9 +15,12 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/server.h"
+#include "tee/fault.h"
+#include "tensor/rng.h"
 #include "tensor/tensor.h"
 
 namespace tbnet::runtime {
@@ -239,7 +242,147 @@ TEST(Autoscaler, ParkedMajorityNeverSwallowsWakeups) {
   EXPECT_EQ(builds.load(), 1);  // the parked slots never activated
 }
 
-/// Single-worker fixed-pool server whose engine blocks its FIRST batch on a
+TEST(Autoscaler, NonPositiveIntervalIsRejected) {
+  // The supervisor only waits when no tick is due; a zero interval would
+  // re-tick forever under the server lock and strand every submit.
+  std::atomic<int> builds{0};
+  for (const microseconds interval : {microseconds(0), microseconds(-1)}) {
+    InferenceServer::Config cfg;
+    cfg.autoscale_interval = interval;
+    EXPECT_THROW(InferenceServer(slow_factory(builds, milliseconds(0)), cfg),
+                 std::invalid_argument)
+        << "interval " << interval.count() << " us";
+  }
+  EXPECT_EQ(builds.load(), 0);  // rejected before any engine was built
+}
+
+TEST(Autoscaler, PinnedPoolNeverScalesOrRebuilds) {
+  // min_workers == max_workers is a fixed pool: a backlog far past the
+  // scale-up threshold finds no parked slot, and idle ticks under an
+  // always-true utilization threshold still cannot park below min_workers.
+  std::atomic<int> builds{0};
+  InferenceServer::Config cfg;
+  cfg.max_batch = 1;
+  cfg.max_queue_delay = microseconds(500);
+  cfg.min_workers = 2;
+  cfg.max_workers = 2;
+  cfg.autoscale_interval = microseconds(1000);
+  cfg.autoscale_cooldown = microseconds(0);
+  cfg.scale_down_utilization = 1.0;
+  InferenceServer server(slow_factory(builds, milliseconds(2)), cfg);
+
+  std::vector<std::future<InferenceResult>> futs;
+  for (int i = 0; i < 40; ++i) futs.push_back(server.submit(tagged_image(1)));
+  for (auto& f : futs) EXPECT_EQ(f.get().status, Status::kOk);
+  std::this_thread::sleep_for(milliseconds(30));  // many idle ticks
+
+  const ServingStats stats = server.stats();
+  EXPECT_EQ(builds.load(), 2);
+  EXPECT_EQ(stats.scale_ups, 0);
+  EXPECT_EQ(stats.scale_downs, 0);
+  EXPECT_EQ(stats.workers_high_water, 2);
+  EXPECT_EQ(healthy_workers(stats), 2);
+  EXPECT_EQ(stats.requests, 40);
+}
+
+TEST(Autoscaler, RandomScheduleKeepsAccountingIdentity) {
+  // Property: whatever the interleaving of scaling, shedding, deadline
+  // expiry, priority lanes and a worker killed by a PermanentFault (then
+  // recovered), every future resolves and every submit lands in exactly
+  // one bin. Each seed draws its own schedule: submit gaps and bursts,
+  // priorities, deadlines, and which engine call the fault hits.
+  for (const uint64_t seed : {11u, 23u, 37u, 41u, 53u, 67u}) {
+    SCOPED_TRACE(seed);
+    Rng draw(seed);
+    tee::FaultInjector faults(seed, 0.0);
+    faults.script_at(tee::FaultInjector::Kind::kPermanent, "invoke",
+                     1 + draw.uniform_int(8));
+    std::atomic<int> builds{0};
+    InferenceServer::Config cfg;
+    cfg.max_batch = 4;
+    cfg.max_queue_delay = microseconds(300);
+    cfg.queue_capacity = 6;
+    cfg.admission = AdmissionPolicy::kShedOldest;
+    cfg.breaker_threshold = 1;
+    cfg.recovery_backoff = microseconds(200);
+    cfg.min_workers = 1;
+    cfg.max_workers = 3;
+    cfg.autoscale_interval = microseconds(1000);
+    cfg.autoscale_cooldown = microseconds(0);
+    cfg.scale_down_utilization = 0.5;
+    InferenceServer server(
+        [&faults, &builds](int) {
+          ++builds;
+          return std::make_pair(
+              [&faults](const Tensor& nchw) {
+                faults.check("invoke");
+                std::this_thread::sleep_for(microseconds(200));
+                return fake_logits(nchw.dim(0));
+              },
+              [] {});  // the session comes back on the first attempt
+        },
+        cfg);
+
+    const int threads = 3;
+    const int per_thread = 60;
+    std::vector<std::vector<std::future<InferenceResult>>> futs(threads);
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < threads; ++t) {
+      submitters.emplace_back([&, t] {
+        Rng rng(seed * 100 + static_cast<uint64_t>(t));
+        for (int i = 0; i < per_thread; ++i) {
+          const auto priority =
+              static_cast<Priority>(rng.uniform_int(kPriorityLanes));
+          // A third of the requests carry no deadline, the rest 20 us to
+          // 1.5 ms: short enough that some expire in the queue.
+          const microseconds deadline(
+              rng.uniform_int(3) == 0 ? 0 : 20 + rng.uniform_int(1480));
+          futs[static_cast<size_t>(t)].push_back(
+              server.submit(tagged_image(1), deadline, priority));
+          // Mostly bursts, sometimes a gap long enough to idle the pool.
+          if (rng.uniform_int(8) == 0) {
+            std::this_thread::sleep_for(
+                microseconds(rng.uniform_int(3000)));
+          }
+        }
+      });
+    }
+    for (auto& th : submitters) th.join();
+    server.drain();
+
+    int64_t ok = 0, rejected = 0, expired = 0, failed = 0;
+    for (auto& per : futs) {
+      for (auto& f : per) {
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready)
+            << "drain() returned with a future unresolved";
+        switch (f.get().status) {
+          case Status::kOk: ++ok; break;
+          case Status::kRejected: ++rejected; break;
+          case Status::kExpired: ++expired; break;
+          case Status::kEngineError: ++failed; break;
+          case Status::kIntegrityError: ++failed; break;
+        }
+      }
+    }
+    ASSERT_TRUE(eventually([&] { return server.stats().recoveries >= 1; }))
+        << "the killed worker never recovered";
+    const ServingStats stats = server.stats();
+    const int64_t submits = static_cast<int64_t>(threads) * per_thread;
+    EXPECT_EQ(stats.requests + stats.rejected + stats.shed + stats.expired,
+              submits);
+    EXPECT_EQ(stats.rejected + stats.shed, rejected);
+    EXPECT_EQ(stats.expired, expired);
+    EXPECT_EQ(stats.engine_errors + stats.integrity_errors, failed);
+    EXPECT_EQ(stats.requests - stats.engine_errors - stats.integrity_errors,
+              ok);
+    EXPECT_EQ(faults.scripted_pending(), 0);
+    EXPECT_EQ(stats.quarantines, 1);
+    EXPECT_LE(builds.load(), 3);
+  }
+}
+
+/// Single-worker server whose engine blocks its FIRST batch on a
 /// gate; everything submitted while it is blocked queues up, which makes
 /// lane/ordering behavior at batch formation directly observable.
 struct GatedServer {
@@ -262,8 +405,9 @@ struct GatedServer {
       }
       return fake_logits(nchw.dim(0));
     };
-    server =
-        std::make_unique<InferenceServer>(std::move(engine), std::move(cfg));
+    server = std::make_unique<InferenceServer>(
+        [engine](int) { return std::make_pair(engine, nullptr); },
+        std::move(cfg));
   }
 
   /// Occupies the worker and waits until it is inside the engine.
@@ -425,17 +569,16 @@ TEST(PriorityLanes, RequeuedRiderKeepsEdfOrder) {
     }
     return fake_logits(nchw.dim(0));
   };
-  std::vector<InferenceServer::BatchFn> engines;
-  engines.push_back(std::move(engine));
-  std::vector<InferenceServer::RecoverFn> recovery;
-  recovery.push_back([] {});  // recovery always succeeds
-
   InferenceServer::Config cfg;
   cfg.max_batch = 1;
   cfg.max_queue_delay = microseconds(200);
   cfg.breaker_threshold = 1;  // the first failed batch trips
   cfg.recovery_backoff = microseconds(500);
-  InferenceServer server(std::move(engines), std::move(recovery), cfg);
+  InferenceServer server(
+      [&engine](int) {
+        return std::make_pair(engine, [] {});  // recovery always succeeds
+      },
+      cfg);
 
   auto rider = server.submit(tagged_image(1), milliseconds(8000));
   in_failing_batch.get_future().wait();  // worker is inside the failing batch

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "models/model_zoo.h"
@@ -74,7 +75,7 @@ struct GatedEngine {
   bool released = false;
   std::atomic<int> calls{0};
 
-  InferenceServer::BatchFn fn() {
+  InferenceServer::BatchFn engine() {
     return [this](const Tensor& nchw) {
       if (calls.fetch_add(1) == 0) {
         std::unique_lock<std::mutex> lock(mu);
@@ -84,6 +85,10 @@ struct GatedEngine {
       }
       return Tensor(Shape{nchw.dim(0), 2});
     };
+  }
+  /// Every slot serves this gated engine, without a RecoverFn.
+  InferenceServer::EngineFactory factory() {
+    return [this](int) { return std::make_pair(engine(), nullptr); };
   }
   void wait_started() {
     std::unique_lock<std::mutex> lock(mu);
@@ -234,7 +239,13 @@ TEST(ServerFaults, RetryExhaustionResolvesEngineError) {
   scfg.max_batch = 4;
   scfg.max_queue_delay = std::chrono::microseconds(1000);
   InferenceServer server(
-      [&deployed](const Tensor& nchw) { return deployed.infer_batch(nchw); },
+      [&deployed](int) {
+        return std::make_pair(
+            [&deployed](const Tensor& nchw) {
+              return deployed.infer_batch(nchw);
+            },
+            nullptr);
+      },
       scfg);
 
   // A healthy request first (also pins the serving shape).
@@ -267,7 +278,13 @@ TEST(ServerFaults, OnePercentTransientRateServesEverythingOk) {
   scfg.max_batch = 8;
   scfg.max_queue_delay = std::chrono::microseconds(500);
   InferenceServer server(
-      [&deployed](const Tensor& nchw) { return deployed.infer_batch(nchw); },
+      [&deployed](int) {
+        return std::make_pair(
+            [&deployed](const Tensor& nchw) {
+              return deployed.infer_batch(nchw);
+            },
+            nullptr);
+      },
       scfg);
 
   Rng rng(10);
@@ -300,7 +317,7 @@ TEST(Admission, RejectPolicyAccountsExactly) {
   scfg.max_queue_delay = std::chrono::microseconds(100);
   scfg.queue_capacity = 2;
   scfg.admission = AdmissionPolicy::kReject;
-  InferenceServer server(gate.fn(), scfg);
+  InferenceServer server(gate.factory(), scfg);
   Rng rng(20);
 
   auto f1 = server.submit(chw(rng));  // claimed by the pinned worker
@@ -337,7 +354,7 @@ TEST(Admission, ShedOldestDropsTheFrontAndKeepsTheFreshest) {
   scfg.max_queue_delay = std::chrono::microseconds(100);
   scfg.queue_capacity = 2;
   scfg.admission = AdmissionPolicy::kShedOldest;
-  InferenceServer server(gate.fn(), scfg);
+  InferenceServer server(gate.factory(), scfg);
   Rng rng(21);
 
   auto f1 = server.submit(chw(rng));  // claimed
@@ -370,7 +387,7 @@ TEST(Admission, BlockPolicyAppliesBackpressure) {
   scfg.max_queue_delay = std::chrono::microseconds(100);
   scfg.queue_capacity = 1;
   scfg.admission = AdmissionPolicy::kBlock;
-  InferenceServer server(gate.fn(), scfg);
+  InferenceServer server(gate.factory(), scfg);
   Rng rng(22);
 
   auto f1 = server.submit(chw(rng));  // claimed
@@ -402,7 +419,7 @@ TEST(Admission, DeadlineExpiresInQueueWithoutRunning) {
   InferenceServer::Config scfg;
   scfg.max_batch = 1;
   scfg.max_queue_delay = std::chrono::microseconds(100);
-  InferenceServer server(gate.fn(), scfg);
+  InferenceServer server(gate.factory(), scfg);
   Rng rng(23);
 
   auto f1 = server.submit(chw(rng));  // claimed; pins the worker
@@ -432,7 +449,7 @@ TEST(Admission, ShutdownUnderLoadResolvesEveryFuture) {
   scfg.max_queue_delay = std::chrono::microseconds(100);
   scfg.queue_capacity = 1;
   scfg.admission = AdmissionPolicy::kBlock;
-  InferenceServer server(gate.fn(), scfg);
+  InferenceServer server(gate.factory(), scfg);
   Rng rng(24);
 
   auto f1 = server.submit(chw(rng));  // claimed, pinned inside the engine
@@ -475,9 +492,13 @@ TEST(Admission, ConcurrentOverloadNeverLosesAFuture) {
   scfg.queue_capacity = 4;
   scfg.admission = AdmissionPolicy::kShedOldest;
   InferenceServer server(
-      [](const Tensor& nchw) {
-        std::this_thread::sleep_for(std::chrono::microseconds(300));
-        return Tensor(Shape{nchw.dim(0), 2});
+      [](int) {
+        return std::make_pair(
+            [](const Tensor& nchw) {
+              std::this_thread::sleep_for(std::chrono::microseconds(300));
+              return Tensor(Shape{nchw.dim(0), 2});
+            },
+            nullptr);
       },
       scfg);
 
@@ -735,11 +756,17 @@ TEST(Supervision, QuarantineRequeuesRidersAndDrainStaysExact) {
   engines.push_back([](const Tensor&) -> Tensor {
     throw tee::PermanentFault("secure session lost");
   });
-  engines.push_back(gate.fn());
+  engines.push_back(gate.engine());
   InferenceServer::Config scfg;
   scfg.max_batch = 1;  // one rider per batch keeps the interleaving simple
   scfg.max_queue_delay = std::chrono::microseconds(200);
-  InferenceServer server(std::move(engines), scfg);
+  scfg.min_workers = 2;
+  scfg.max_workers = 2;
+  InferenceServer server(
+      [&engines](int w) {
+        return std::make_pair(engines[static_cast<size_t>(w)], nullptr);
+      },
+      scfg);
 
   Rng rng(31);
   auto f1 = server.submit(chw(rng));
@@ -770,12 +797,15 @@ TEST(Supervision, ConsecutiveFailuresTripBreakerThenFailFast) {
   // K consecutive kEngineError batches trip the breaker; with no RecoverFn
   // the lone worker dies and later submits resolve kRejected immediately
   // instead of feeding a dead engine.
-  std::vector<InferenceServer::BatchFn> engines;
-  engines.push_back(
-      [](const Tensor&) -> Tensor { throw std::runtime_error("flaky"); });
   InferenceServer::Config scfg;
   scfg.breaker_threshold = 2;
-  InferenceServer server(std::move(engines), scfg);
+  InferenceServer server(
+      [](int) {
+        return std::make_pair(
+            [](const Tensor&) -> Tensor { throw std::runtime_error("flaky"); },
+            nullptr);
+      },
+      scfg);
 
   Rng rng(32);
   // Strike 1: below threshold, rider resolves kEngineError, worker serves on.
@@ -805,20 +835,19 @@ TEST(Supervision, RecoveryLifecycleReAdmitsWorker) {
   // broken is re-queued to the worker itself and served after recovery —
   // zero lost futures, no kEngineError ever surfaced.
   std::atomic<bool> broken{false};
-  std::vector<InferenceServer::BatchFn> engines;
-  engines.push_back([&broken](const Tensor& nchw) -> Tensor {
+  InferenceServer::BatchFn engine = [&broken](const Tensor& nchw) -> Tensor {
     if (broken.load()) throw tee::PermanentFault("secure session lost");
     return Tensor(Shape{nchw.dim(0), 2});
-  });
-  std::vector<InferenceServer::RecoverFn> recovery;
-  recovery.push_back([&broken] {
+  };
+  InferenceServer::RecoverFn recover = [&broken] {
     if (broken.load()) throw std::runtime_error("canary failed: still broken");
-  });
+  };
   InferenceServer::Config scfg;
   scfg.breaker_threshold = 1;
   scfg.recovery_backoff = std::chrono::microseconds(300);
   scfg.recovery_max_backoff = std::chrono::microseconds(3000);
-  InferenceServer server(std::move(engines), std::move(recovery), scfg);
+  InferenceServer server(
+      [&](int) { return std::make_pair(engine, recover); }, scfg);
 
   Rng rng(33);
   EXPECT_EQ(server.submit(chw(rng)).get().status, Status::kOk);
@@ -855,20 +884,21 @@ TEST(Supervision, WatchdogOverrunTripsBreakerEvenOnSuccess) {
   // though the result was correct: the rider still gets its Ok, but the
   // worker cycles through quarantine + recovery before serving again.
   std::atomic<int> calls{0};
-  std::vector<InferenceServer::BatchFn> engines;
-  engines.push_back([&calls](const Tensor& nchw) {
+  InferenceServer::BatchFn engine = [&calls](const Tensor& nchw) {
     if (calls.fetch_add(1) == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     return Tensor(Shape{nchw.dim(0), 2});
-  });
-  std::vector<InferenceServer::RecoverFn> recovery;
-  recovery.push_back([] {});  // trivially recovers
+  };
   InferenceServer::Config scfg;
   scfg.breaker_threshold = 1;
   scfg.watchdog_timeout = std::chrono::milliseconds(1);
   scfg.recovery_backoff = std::chrono::microseconds(300);
-  InferenceServer server(std::move(engines), std::move(recovery), scfg);
+  InferenceServer server(
+      [&engine](int) {
+        return std::make_pair(engine, [] {});  // trivially recovers
+      },
+      scfg);
 
   Rng rng(34);
   InferenceResult slow = server.submit(chw(rng)).get();
@@ -888,13 +918,17 @@ TEST(Supervision, WatchdogOverrunTripsBreakerEvenOnSuccess) {
 TEST(Supervision, IntegrityFailureSurfacesTypedStatus) {
   // An engine tripping an integrity check resolves kIntegrityError (first
   // strike, regardless of threshold) — corrupted data is never served.
-  std::vector<InferenceServer::BatchFn> engines;
-  engines.push_back([](const Tensor&) -> Tensor {
-    throw tee::IntegrityFault("transfer frame checksum mismatch");
-  });
   InferenceServer::Config scfg;
   scfg.breaker_threshold = 100;  // integrity must trip on strike one anyway
-  InferenceServer server(std::move(engines), scfg);
+  InferenceServer server(
+      [](int) {
+        return std::make_pair(
+            [](const Tensor&) -> Tensor {
+              throw tee::IntegrityFault("transfer frame checksum mismatch");
+            },
+            nullptr);
+      },
+      scfg);
 
   Rng rng(35);
   InferenceResult r = server.submit(chw(rng)).get();
@@ -935,7 +969,14 @@ TEST(Supervision, ChaosIdentityUnderConcurrentLoadAndRecovery) {
   scfg.breaker_threshold = 1;
   scfg.recovery_backoff = std::chrono::microseconds(300);
   scfg.recovery_max_backoff = std::chrono::microseconds(2000);
-  InferenceServer server(std::move(engines), std::move(recovery), scfg);
+  scfg.min_workers = 2;
+  scfg.max_workers = 2;
+  InferenceServer server(
+      [&engines, &recovery](int w) {
+        return std::make_pair(engines[static_cast<size_t>(w)],
+                              recovery[static_cast<size_t>(w)]);
+      },
+      scfg);
 
   const int threads = 4;
   const int per_thread = 50;

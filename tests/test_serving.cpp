@@ -15,6 +15,7 @@
 #include <future>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pruner.h"
@@ -333,7 +334,13 @@ TEST(InferenceServer, CoalescesConcurrentSubmitters) {
   scfg.max_batch = 8;
   scfg.max_queue_delay = std::chrono::microseconds(50000);  // plenty of time
   InferenceServer server(
-      [&deployed](const Tensor& nchw) { return deployed.infer_batch(nchw); },
+      [&deployed](int) {
+        return std::make_pair(
+            [&deployed](const Tensor& nchw) {
+              return deployed.infer_batch(nchw);
+            },
+            nullptr);
+      },
       scfg);
 
   Rng rng(12);
@@ -395,7 +402,12 @@ TEST(InferenceServer, DrainWaitsForAllRequests) {
   model.emplace<nn::Flatten>();
   model.emplace<nn::Dense>(3 * 8 * 8, 4, rng);
   InferenceServer server(
-      [&model](const Tensor& nchw) { return model.forward(nchw, false); });
+      [&model](int) {
+        return std::make_pair(
+            [&model](const Tensor& nchw) { return model.forward(nchw, false); },
+            nullptr);
+      },
+      InferenceServer::Config{});
   std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < 10; ++i) {
     futures.push_back(server.submit(Tensor::randn(Shape{3, 8, 8}, rng)));
@@ -411,9 +423,15 @@ TEST(InferenceServer, DrainWaitsForAllRequests) {
 TEST(InferenceServer, EngineFailureResolvesTypedNotThrown) {
   // PR 7: futures resolve with a typed status — a failing engine or a
   // post-shutdown submit must never make .get() throw.
-  InferenceServer server([](const Tensor&) -> Tensor {
-    throw std::runtime_error("engine down");
-  });
+  InferenceServer server(
+      [](int) {
+        return std::make_pair(
+            [](const Tensor&) -> Tensor {
+              throw std::runtime_error("engine down");
+            },
+            nullptr);
+      },
+      InferenceServer::Config{});
   Rng rng(14);
   auto fut = server.submit(Tensor::randn(Shape{1, 2, 2}, rng));
   InferenceResult r = fut.get();
@@ -439,7 +457,12 @@ TEST(InferenceServer, MalformedShapeIsRejectedAlone) {
   scfg.max_batch = 8;
   scfg.max_queue_delay = std::chrono::microseconds(20000);
   InferenceServer server(
-      [](const Tensor& nchw) { return Tensor(Shape{nchw.dim(0), 2}); }, scfg);
+      [](int) {
+        return std::make_pair(
+            [](const Tensor& nchw) { return Tensor(Shape{nchw.dim(0), 2}); },
+            nullptr);
+      },
+      scfg);
   Rng rng(41);
   auto good0 = server.submit(Tensor::randn(Shape{1, 2, 2}, rng));
   // Wrong rank: not CHW at all.
@@ -473,7 +496,13 @@ TEST(InferenceServer, ShutdownDrainsOutstandingWork) {
     scfg.max_batch = 4;
     scfg.max_queue_delay = std::chrono::microseconds(20000);
     InferenceServer server(
-        [&model](const Tensor& nchw) { return model.forward(nchw, false); },
+        [&model](int) {
+          return std::make_pair(
+              [&model](const Tensor& nchw) {
+                return model.forward(nchw, false);
+              },
+              nullptr);
+        },
         scfg);
     for (int i = 0; i < 7; ++i) {
       futures.push_back(server.submit(Tensor::randn(Shape{3, 2, 2}, rng)));
@@ -549,14 +578,18 @@ TEST(InferenceServer, CoalescedImagesCountsOnlyRiders) {
   scfg.max_batch = 8;
   scfg.max_queue_delay = std::chrono::microseconds(500);
   InferenceServer server(
-      [&](const Tensor& nchw) {
-        if (calls.fetch_add(1) == 0) {
-          std::unique_lock<std::mutex> lock(mu);
-          first_call_started = true;
-          cv.notify_all();
-          cv.wait(lock, [&] { return release_first_call; });
-        }
-        return Tensor(Shape{nchw.dim(0), 2});
+      [&](int) {
+        return std::make_pair(
+            [&](const Tensor& nchw) {
+              if (calls.fetch_add(1) == 0) {
+                std::unique_lock<std::mutex> lock(mu);
+                first_call_started = true;
+                cv.notify_all();
+                cv.wait(lock, [&] { return release_first_call; });
+              }
+              return Tensor(Shape{nchw.dim(0), 2});
+            },
+            nullptr);
       },
       scfg);
 
@@ -616,8 +649,10 @@ TEST(InferenceServerWorkers, TwoWorkersDispatchBatchesConcurrently) {
   InferenceServer::Config scfg;
   scfg.max_batch = 1;  // one request = one batch: the 2nd must overlap
   scfg.max_queue_delay = std::chrono::microseconds(100);
-  InferenceServer server(std::vector<InferenceServer::BatchFn>{engine, engine},
-                         scfg);
+  scfg.min_workers = 2;
+  scfg.max_workers = 2;
+  InferenceServer server(
+      [&engine](int) { return std::make_pair(engine, nullptr); }, scfg);
   ASSERT_EQ(server.workers(), 2);
 
   Rng rng(31);
@@ -653,14 +688,18 @@ TEST(InferenceServerWorkers, QueueDepthHighWaterIsRecorded) {
   scfg.max_batch = 1;
   scfg.max_queue_delay = std::chrono::microseconds(100);
   InferenceServer server(
-      [&](const Tensor& nchw) {
-        if (calls.fetch_add(1) == 0) {
-          std::unique_lock<std::mutex> lock(mu);
-          started = true;
-          cv.notify_all();
-          cv.wait(lock, [&] { return release; });
-        }
-        return Tensor(Shape{nchw.dim(0), 2});
+      [&](int) {
+        return std::make_pair(
+            [&](const Tensor& nchw) {
+              if (calls.fetch_add(1) == 0) {
+                std::unique_lock<std::mutex> lock(mu);
+                started = true;
+                cv.notify_all();
+                cv.wait(lock, [&] { return release; });
+              }
+              return Tensor(Shape{nchw.dim(0), 2});
+            },
+            nullptr);
       },
       scfg);
   Rng rng(32);
@@ -704,10 +743,15 @@ TEST(InferenceServerWorkers, ParallelEnginesServeTheSameModelCorrectly) {
   InferenceServer::Config scfg;
   scfg.max_batch = 4;
   scfg.max_queue_delay = std::chrono::microseconds(2000);
+  scfg.min_workers = 2;
+  scfg.max_workers = 2;
   InferenceServer server(
-      std::vector<InferenceServer::BatchFn>{
-          [&engine_a](const Tensor& nchw) { return engine_a.infer_batch(nchw); },
-          [&engine_b](const Tensor& nchw) { return engine_b.infer_batch(nchw); }},
+      [&engine_a, &engine_b](int w) {
+        DeployedTBNet* engine = w == 0 ? &engine_a : &engine_b;
+        return std::make_pair(
+            [engine](const Tensor& nchw) { return engine->infer_batch(nchw); },
+            nullptr);
+      },
       scfg);
 
   Rng rng(33);

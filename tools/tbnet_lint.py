@@ -31,10 +31,14 @@ Rules (each reported as `rule-name: file:line: message`):
                      (src/runtime/server.h) and every counter of
                      ServingStats (src/runtime/measurements.h) is named in
                      docs/OPERATIONS.md — adding a serving knob or stat
-                     without operator documentation fails CI. Skipped
-                     silently when the anchor structs are absent (fixture
-                     trees); the structs existing WITHOUT the docs file is
-                     itself a finding.
+                     without operator documentation fails CI. In reverse,
+                     every backticked first-column name in the tables of
+                     an OPERATIONS.md `## ` section whose heading names the
+                     struct must be one of its members, so a deleted knob
+                     cannot linger in the docs. Skipped silently when the
+                     anchor structs are absent (fixture trees); the
+                     structs existing WITHOUT the docs file is itself a
+                     finding.
   bench-keys         Every top-level key of the committed BENCH_*.json
                      baselines is known to tools/check_bench_regression.py
                      (gated, or listed in its METADATA_KEYS). A bench
@@ -321,6 +325,22 @@ def struct_members(text, name):
     return members
 
 
+def doc_table_names(ops, struct):
+    """Returns [(name, lineno)] for every backticked name in the first
+    column of the tables under the level-2 sections of `ops` whose heading
+    names `struct`."""
+    names = []
+    in_section = False
+    for lineno, line in enumerate(ops.splitlines(), start=1):
+        if line.startswith("## "):
+            in_section = re.search(rf"\b{struct}\b", line) is not None
+        elif in_section and line.startswith("|"):
+            first_cell = line.split("|")[1]
+            names.extend((name, lineno)
+                         for name in re.findall(r"`([^`]+)`", first_cell))
+    return names
+
+
 def check_docs_coverage(root):
     findings = []
     ops_path = os.path.join(root, DOCS_OPS)
@@ -346,6 +366,14 @@ def check_docs_coverage(root):
                     f"{struct}::{name} is not mentioned in {DOCS_OPS} — "
                     f"document the knob/counter where operators will look "
                     f"for it"))
+        declared = {name for name, _ in members}
+        for name, lineno in doc_table_names(ops, struct):
+            if name not in declared:
+                findings.append(Finding(
+                    "docs-coverage", DOCS_OPS, lineno,
+                    f"`{name}` is listed in the {struct} table but is not a "
+                    f"member of {struct} ({header}) — delete the row or "
+                    f"restore the member"))
     return findings
 
 

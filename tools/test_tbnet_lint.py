@@ -198,8 +198,14 @@ class DocsCoverageTest(LintFixture):
         };
         """
     DOCS_ALL = """\
-        `max_batch`, `max_queue_delay`, `scale_down_utilization` are knobs.
-        Counters: `requests`, `scale_ups`.
+        ## Config reference (`Config`)
+
+        | `max_batch` | `max_queue_delay` | Both knobs. |
+        | `scale_down_utilization` | 0.3 | Park threshold. |
+
+        ## Stats reference (`ServingStats`)
+
+        | `requests` | Counters: `requests`, `scale_ups`. |
         """
 
     def test_missing_config_field_fires(self):
@@ -232,6 +238,28 @@ class DocsCoverageTest(LintFixture):
         findings = [f for f in tbnet_lint.run(self.root)
                     if "helper" in f.message or "mean_batch_size" in f.message]
         self.assertEqual(findings, [])
+
+    def test_table_row_for_deleted_member_fires(self):
+        # The reverse direction: a knob deleted from the struct while its
+        # docs row lingers. Prose mentions outside the tables stay legal.
+        self.put("src/runtime/server.h", self.SERVER_H)
+        self.put("docs/OPERATIONS.md", """\
+            ## Config reference (`Config`)
+
+            | Field | Meaning |
+            |---|---|
+            | `max_batch` | `max_queue_delay`, `scale_down_utilization` |
+            | `scale_up_queue_factor` | Deleted knob. |
+
+            ## Troubleshooting
+
+            | `scale_up_queue_factor` | mentioned outside the Config table |
+            """)
+        fired = tbnet_lint.run(self.root)
+        self.assertEqual([f.rule for f in fired], ["docs-coverage"])
+        self.assertEqual(fired[0].path, "docs/OPERATIONS.md")
+        self.assertEqual(fired[0].line, 6)
+        self.assertIn("scale_up_queue_factor", fired[0].message)
 
     def test_structs_without_docs_file_fire(self):
         self.put("src/runtime/server.h", self.SERVER_H)
