@@ -118,8 +118,9 @@ double bench_int8_gemm(const ExecutionContext& ctx, const GemmShape& s,
   const float* bp = b.data();
   const int64_t n = s.n;
   Tensor c(Shape{s.m, s.n});
-  const auto produce = [bp, n, inv, zp](int64_t kk, int64_t kc, int64_t j0,
-                                        int nr, uint8_t* panel) {
+  const auto produce = [bp, n, inv, zp](int64_t /*img*/, int64_t kk,
+                                        int64_t kc, int64_t j0, int nr,
+                                        uint8_t* panel) {
     const simd::QuantizeU7GroupFn qgroup = simd::quantize_u7_group();
     const int64_t kg = (kc + simd::kKG - 1) / simd::kKG;
     for (int64_t gi = 0; gi < kg; ++gi) {

@@ -59,6 +59,13 @@ runtime::InferenceServer::EngineFactory serve_engines(
   };
 }
 
+/// The options every bench engine is built with: batches up to 64 images.
+runtime::DeployedTBNet::Options engine_options() {
+  runtime::DeployedTBNet::Options opts;
+  opts.max_batch = 64;
+  return opts;
+}
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -253,7 +260,7 @@ ChaosPoint run_chaos(const core::TwoBranchModel& tb,
     tee_ctxs.push_back(std::make_unique<tee::TeeContext>(*worlds.back()));
     engines.push_back(std::make_unique<runtime::DeployedTBNet>(
         tb, *tee_ctxs.back(), "tbnet-chaos-" + std::to_string(w),
-        runtime::DeployedTBNet::Options{.max_batch = 64}));
+        engine_options()));
     if (device_timing) engines.back()->session().simulate_timing(profile);
     engines.back()->infer_batch(Tensor::randn(Shape{4, 3, 32, 32}, crng));
   }
@@ -485,7 +492,7 @@ ElasticPoint run_elastic(const core::TwoBranchModel& tb,
           std::make_unique<tee::TeeContext>(*slots.worlds.back()));
       slots.engines.push_back(std::make_unique<runtime::DeployedTBNet>(
           tb, *slots.ctxs.back(), "tbnet-elastic-" + std::to_string(worker),
-          runtime::DeployedTBNet::Options{.max_batch = 64}));
+          engine_options()));
       if (device_timing) {
         slots.engines.back()->session().simulate_timing(profile);
       }
@@ -585,7 +592,7 @@ int main(int argc, char** argv) {
   tee::SecureWorld world(profile.secure_mem_budget);
   tee::TeeContext ctx(world);
   runtime::DeployedTBNet engine(tb, ctx, "tbnet-serving",
-                                runtime::DeployedTBNet::Options{.max_batch = 64});
+                                engine_options());
   if (device_timing) engine.session().simulate_timing(profile);
 
   Rng rng(23);
@@ -660,7 +667,7 @@ int main(int argc, char** argv) {
       tee_ctxs.push_back(std::make_unique<tee::TeeContext>(*worlds.back()));
       engines.push_back(std::make_unique<runtime::DeployedTBNet>(
           tb, *tee_ctxs.back(), "tbnet-worker-" + std::to_string(w),
-          runtime::DeployedTBNet::Options{.max_batch = 64}));
+          engine_options()));
       if (device_timing) engines.back()->session().simulate_timing(profile);
       engines.back()->set_intra_op_width(
           std::max(1, pool_threads / nworkers));
@@ -725,7 +732,7 @@ int main(int argc, char** argv) {
       tee_ctxs.push_back(std::make_unique<tee::TeeContext>(*worlds.back()));
       engines.push_back(std::make_unique<runtime::DeployedTBNet>(
           tb, *tee_ctxs.back(), "tbnet-width-" + std::to_string(w),
-          runtime::DeployedTBNet::Options{.max_batch = 64}));
+          engine_options()));
       if (device_timing) engines.back()->session().simulate_timing(profile);
       engines.back()->infer_batch(Tensor::randn(Shape{4, 3, 32, 32}, wrng));
     }

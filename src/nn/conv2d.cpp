@@ -96,8 +96,9 @@ Tensor Conv2d::forward_impl(ExecutionContext& ctx, const Tensor& input,
     // image (im2col_pack_panel), so the conv's big scratch is gone and its
     // arena footprint is the A pack plus per-chunk panel slabs.
     // Bias/BN/activation ride the GEMM epilogue — one pass over the output.
-    // The per-image loop keeps batched output bit-identical to per-image
-    // calls.
+    // The whole batch is one driver call: its images' column panels share
+    // one parallel_for, and each output element's bits are those of a
+    // per-image call (pack.h, GemmBatch).
     const float* apack = nullptr;
     if (!train && !packed_.empty()) {
       apack = packed_.data();
@@ -107,28 +108,28 @@ Tensor Conv2d::forward_impl(ExecutionContext& ctx, const Tensor& input,
                                   rows, ap, ctx.intra_op_width());
       apack = ap;
     }
-    for (int64_t i = 0; i < n; ++i) {
-      const float* img = input.data() + i * in_stride;
-      float* dst = out.data() + i * out_stride;
-      if (direct_1x1) {
-        packdetail::run_packed_b_rowmajor(ctx.pool(), out_c_, cols, rows, 1.0f,
-                                          apack, img, cols, 0.0f, dst, cols,
-                                          ep, ctx.intra_op_width());
-      } else {
-        packdetail::run_packed_b_producer(
-            ctx, out_c_, cols, rows, 1.0f, apack,
-            [&g, img](int64_t kk, int64_t kc, int64_t j0, int nr,
-                      float* panel) {
-              im2col_pack_panel(g, img, kk, kc, j0, nr, simd::kNR, panel);
-            },
-            0.0f, dst, cols, ep);
-      }
+    const packdetail::GemmBatch batch{n, in_stride, out_stride};
+    const float* x = input.data();
+    if (direct_1x1) {
+      packdetail::run_packed_b_rowmajor(ctx.pool(), out_c_, cols, rows, 1.0f,
+                                        apack, x, cols, 0.0f, out.data(), cols,
+                                        ep, ctx.intra_op_width(), batch);
+    } else {
+      packdetail::run_packed_b_producer(
+          ctx, out_c_, cols, rows, 1.0f, apack,
+          [&g, x, in_stride](int64_t img, int64_t kk, int64_t kc, int64_t j0,
+                             int nr, float* panel) {
+            im2col_pack_panel(g, x + img * in_stride, kk, kc, j0, nr,
+                              simd::kNR, panel);
+          },
+          0.0f, out.data(), cols, ep, batch);
     }
   } else {
     // Reference fallback (TBNET_DETERMINISTIC=1): materialize the column
     // matrix into the arena and run the scalar kernels — the shape every
     // fused-lowering result is tested against. The 1x1 direct case feeds
     // the image straight through (same bytes the column matrix would hold).
+    // It stays per image so the column buffer holds one image, not a batch.
     float* colbuf = direct_1x1 ? nullptr : ctx.arena().alloc(rows * cols);
     for (int64_t i = 0; i < n; ++i) {
       const float* img = input.data() + i * in_stride;
@@ -180,49 +181,49 @@ Tensor Conv2d::forward_int8(ExecutionContext& ctx, const Tensor& input,
   }
   const float inv = 1.0f / quant_.act.scale;
   const int32_t zp = quant_.act.zero_point;
-  for (int64_t i = 0; i < n; ++i) {
-    const float* img = input.data() + i * in_stride;
-    float* dst = out.data() + i * out_stride;
-    if (direct_1x1) {
-      // B row p of a 1x1 stride-1 unpadded conv IS channel plane p, so the
-      // producer quantizes straight from the image rows into the grouped
-      // panel layout — no lowering at all.
-      packdetail::run_packed_i8_producer(
-          ctx, out_c_, cols, rows, apack,
-          [img, cols, inv, zp](int64_t kk, int64_t kc, int64_t j0, int nr,
-                               uint8_t* panel) {
-            const simd::QuantizeU7GroupFn qgroup = simd::quantize_u7_group();
-            const int64_t kg = (kc + simd::kKG - 1) / simd::kKG;
-            for (int64_t gi = 0; gi < kg; ++gi) {
-              uint8_t* grp = panel + gi * simd::kNR * simd::kKG;
-              const float* row = img + (kk + gi * simd::kKG) * cols + j0;
-              if (gi * simd::kKG + simd::kKG <= kc && nr == simd::kNR) {
-                qgroup(row, row + cols, row + 2 * cols, row + 3 * cols, grp,
-                       inv, zp);
-                continue;
-              }
-              for (int64_t j = 0; j < simd::kNR; ++j) {
-                for (int64_t t = 0; t < simd::kKG; ++t) {
-                  const int64_t p = gi * simd::kKG + t;
-                  grp[j * simd::kKG + t] =
-                      p < kc && j < nr
-                          ? simd::quantize_u7(img[(kk + p) * cols + j0 + j],
-                                              inv, zp)
-                          : uint8_t{0};
-                }
+  const packdetail::GemmBatch batch{n, in_stride, out_stride};
+  const float* x = input.data();
+  if (direct_1x1) {
+    // B row p of a 1x1 stride-1 unpadded conv IS channel plane p, so the
+    // producer quantizes straight from the image rows into the grouped
+    // panel layout — no lowering at all.
+    packdetail::run_packed_i8_producer(
+        ctx, out_c_, cols, rows, apack,
+        [x, in_stride, cols, inv, zp](int64_t img, int64_t kk, int64_t kc,
+                                      int64_t j0, int nr, uint8_t* panel) {
+          const float* plane0 = x + img * in_stride;
+          const simd::QuantizeU7GroupFn qgroup = simd::quantize_u7_group();
+          const int64_t kg = (kc + simd::kKG - 1) / simd::kKG;
+          for (int64_t gi = 0; gi < kg; ++gi) {
+            uint8_t* grp = panel + gi * simd::kNR * simd::kKG;
+            const float* row = plane0 + (kk + gi * simd::kKG) * cols + j0;
+            if (gi * simd::kKG + simd::kKG <= kc && nr == simd::kNR) {
+              qgroup(row, row + cols, row + 2 * cols, row + 3 * cols, grp,
+                     inv, zp);
+              continue;
+            }
+            for (int64_t j = 0; j < simd::kNR; ++j) {
+              for (int64_t t = 0; t < simd::kKG; ++t) {
+                const int64_t p = gi * simd::kKG + t;
+                grp[j * simd::kKG + t] =
+                    p < kc && j < nr
+                        ? simd::quantize_u7(plane0[(kk + p) * cols + j0 + j],
+                                            inv, zp)
+                        : uint8_t{0};
               }
             }
-          },
-          dst, cols, qep);
-    } else {
-      packdetail::run_packed_i8_producer(
-          ctx, out_c_, cols, rows, apack,
-          [&g, img, inv, zp](int64_t kk, int64_t kc, int64_t j0, int nr,
-                             uint8_t* panel) {
-            im2col_pack_panel_u8(g, img, kk, kc, j0, nr, inv, zp, panel);
-          },
-          dst, cols, qep);
-    }
+          }
+        },
+        out.data(), cols, qep, batch);
+  } else {
+    packdetail::run_packed_i8_producer(
+        ctx, out_c_, cols, rows, apack,
+        [&g, x, in_stride, inv, zp](int64_t img, int64_t kk, int64_t kc,
+                                    int64_t j0, int nr, uint8_t* panel) {
+          im2col_pack_panel_u8(g, x + img * in_stride, kk, kc, j0, nr, inv, zp,
+                               panel);
+        },
+        out.data(), cols, qep, batch);
   }
   return out;
 }

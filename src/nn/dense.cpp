@@ -101,8 +101,8 @@ Tensor Dense::forward_int8(ExecutionContext& ctx, const Tensor& input,
   float* ct = ctx.arena().alloc(out_f_ * n);
   packdetail::run_packed_i8_producer(
       ctx, out_f_, n, in_f_, apack,
-      [x, in_f, inv, zp](int64_t kk, int64_t kc, int64_t j0, int nr,
-                         uint8_t* panel) {
+      [x, in_f, inv, zp](int64_t /*img*/, int64_t kk, int64_t kc, int64_t j0,
+                         int nr, uint8_t* panel) {
         const int64_t kg = (kc + simd::kKG - 1) / simd::kKG;
         for (int64_t gi = 0; gi < kg; ++gi) {
           uint8_t* grp = panel + gi * simd::kNR * simd::kKG;

@@ -78,6 +78,7 @@ void im2col_pack_panel(const Conv2dGeom& g, const float* image, int64_t kk,
     j += segs[nsegs].len;
     col += segs[nsegs].len;
   }
+  const simd::PanelRowFn row_copy = simd::panel_row_copy();
   // Tap coordinates advance incrementally over the panel's rows — no
   // division in the kc loop.
   int64_t kw = (kk % khw) % g.kernel_w;
@@ -97,15 +98,12 @@ void im2col_pack_panel(const Conv2dGeom& g, const float* image, int64_t kk,
       const float* src = plane + iy * g.in_w;
       const int64_t ix0 = seg.ix0 + kw;
       if (g.stride_w == 1) {
-        // In-bounds interior of the run is a straight copy.
+        // The run's in-bounds interior [lo, hi) is a straight copy.
         const int64_t lo = std::clamp<int64_t>(-ix0, 0, seg.len);
         const int64_t hi = std::clamp<int64_t>(g.in_w - ix0, lo, seg.len);
-        for (int64_t t = 0; t < lo; ++t) out[seg.j + t] = 0.0f;
-        if (hi > lo) {
-          std::memcpy(out + seg.j + lo, src + ix0 + lo,
-                      static_cast<size_t>(hi - lo) * sizeof(float));
-        }
-        for (int64_t t = hi; t < seg.len; ++t) out[seg.j + t] = 0.0f;
+        row_copy(hi > lo ? src + ix0 + lo : src, static_cast<int>(lo),
+                 static_cast<int>(hi), static_cast<int>(seg.len),
+                 out + seg.j);
       } else {
         for (int64_t t = 0; t < seg.len; ++t) {
           const int64_t ix = ix0 + t * g.stride_w;

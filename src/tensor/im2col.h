@@ -1,8 +1,12 @@
 #pragma once
 // im2col / col2im lowering for 2-D convolution.
 //
-// Convolution forward is computed as  W[outC, inC*kh*kw] x cols[inC*kh*kw, oh*ow]
-// per image; backward-to-input uses col2im to scatter the column gradient back.
+// Convolution is  W[outC, inC*kh*kw] x cols[inC*kh*kw, oh*ow]  for each image.
+// Inference never builds `cols`: im2col_pack_panel writes one B panel at a
+// time for the packed driver, which runs a whole batch's panels in one call.
+// The materializing im2col serves training and the TBNET_DETERMINISTIC=1
+// reference; backward-to-input uses col2im to scatter the column gradient
+// back.
 
 #include <cstdint>
 
@@ -48,10 +52,12 @@ void col2im(const Conv2dGeom& geom, const float* cols, float* image);
 /// driver (packdetail::run_packed_b_producer) computes a convolution without
 /// ever materializing the column matrix; the values written are exactly the
 /// ones im2col would place at the same (row, col) positions, so the result
-/// is bit-identical to the materializing path. Pure function of its
-/// arguments — safe to call concurrently for disjoint panels. `nr` must not
-/// exceed simd::kNR (one microkernel panel, the only width the packed driver
-/// requests); panel_stride >= nr sets the row pitch.
+/// is bit-identical to the materializing path. Stride-1 rows are copied one
+/// output-row run at a time by simd::panel_row_copy (one masked load and
+/// store per run on AVX-512). Pure function of its arguments — safe to call
+/// concurrently for disjoint panels. `nr` must not exceed simd::kNR (one
+/// microkernel panel, the only width the packed driver requests);
+/// panel_stride >= nr sets the row pitch.
 void im2col_pack_panel(const Conv2dGeom& geom, const float* image, int64_t kk,
                        int64_t kc, int64_t j0, int nr, int64_t panel_stride,
                        float* panel);

@@ -153,16 +153,69 @@ void pack_b_from_bt(ThreadPool& pool, int64_t n, int64_t k, const float* bt,
       max_width);
 }
 
+namespace {
+
+/// The f32 microkernels a driver dispatches between, latched once per call.
+struct F32Kernels {
+  simd::MicroKernelFn micro = simd::micro_kernel();
+  simd::MicroKernelFn micro1 = simd::micro_kernel_mr1();
+  simd::MicroKernelWideFn wide = simd::micro_kernel_wide();
+
+  /// Whether the panel at column j0 pairs with its neighbor for the 6x32
+  /// AVX-512 tile: both full width, and the neighbor (the next panel slot)
+  /// still inside this chunk. A pair never crosses a problem of the batch
+  /// because both panels lie within [0, n). The wide tile is bit-identical
+  /// to two 16-wide calls (simd.h), so pairing is a pure throughput decision
+  /// local to the chunk — results never depend on it. m == 1 keeps the mr1
+  /// kernel, which skips the padded rows the wide tile would compute.
+  bool pair(int64_t m, int64_t n, int64_t j0, bool next_in_chunk) const {
+    return wide != nullptr && m > 1 && next_in_chunk && j0 + 2 * kNR <= n;
+  }
+};
+
+/// Runs every row tile of one k-block against the B column panel b0 (row
+/// stride bs0) — or, when b1 is non-null, against the full-width pair
+/// (b0, b1) through the wide tile — into C columns from j0. `ep` is null
+/// except on the last k-block.
+void tile_column(const F32Kernels& kern, int64_t m, int64_t kc,
+                 const float* ablock, const float* b0, int64_t bs0,
+                 const float* b1, int64_t bs1, float* c, int64_t ldc,
+                 int64_t j0, int nr, float alpha, float beta,
+                 const GemmEpilogue* ep) {
+  const int64_t mpan = ceil_div(m, kMR);
+  for (int64_t ip = 0; ip < mpan; ++ip) {
+    const int64_t i0 = ip * kMR;
+    const int mr = static_cast<int>(std::min<int64_t>(kMR, m - i0));
+    simd::TileEpilogue te;
+    const simd::TileEpilogue* tep = nullptr;
+    if (ep != nullptr && !ep->empty()) {
+      te.row_scale = ep->row_scale != nullptr ? ep->row_scale + i0 : nullptr;
+      te.row_shift = ep->row_shift != nullptr ? ep->row_shift + i0 : nullptr;
+      te.col_scale = ep->col_scale != nullptr ? ep->col_scale + j0 : nullptr;
+      te.col_shift = ep->col_shift != nullptr ? ep->col_shift + j0 : nullptr;
+      te.act = ep->act;
+      tep = &te;
+    }
+    if (b1 != nullptr) {
+      kern.wide(kc, ablock + i0 * kc, b0, bs0, b1, bs1, c + i0 * ldc + j0, ldc,
+                mr, alpha, beta, tep);
+    } else {
+      (mr == 1 ? kern.micro1 : kern.micro)(kc, ablock + i0 * kc, b0, bs0,
+                                           c + i0 * ldc + j0, ldc, mr, nr,
+                                           alpha, beta, tep);
+    }
+  }
+}
+
+}  // namespace
+
 void run_packed(ThreadPool& pool, int64_t m, int64_t n, int64_t k, float alpha,
                 const float* apack, const float* bpack, float beta, float* c,
                 int64_t ldc, const GemmEpilogue& ep, int max_width) {
   if (m <= 0 || n <= 0) return;
-  const simd::MicroKernelFn micro = simd::micro_kernel();
-  const simd::MicroKernelFn micro1 = simd::micro_kernel_mr1();
-  const simd::MicroKernelWideFn wide = simd::micro_kernel_wide();
-  const int64_t mpan = ceil_div(m, kMR);
+  const F32Kernels kern;
   const int64_t npan = ceil_div(n, kNR);
-  const int64_t m_round = mpan * kMR;
+  const int64_t m_round = ceil_div(m, kMR) * kMR;
   const int64_t n_round = npan * kNR;
   // k == 0 still runs one zero-depth slice so beta scaling and the epilogue
   // are applied.
@@ -171,43 +224,15 @@ void run_packed(ThreadPool& pool, int64_t m, int64_t n, int64_t k, float alpha,
     for (int64_t jp = jp0; jp < jp1;) {
       const int64_t j0 = jp * kNR;
       const int nr = static_cast<int>(std::min<int64_t>(kNR, n - j0));
-      // Pair this panel with the next one for the 6x32 AVX-512 tile when
-      // both are full width and still inside this chunk. The wide tile is
-      // bit-identical to two 16-wide calls (simd.h), so pairing is a pure
-      // throughput decision local to the chunk — results never depend on
-      // it. m == 1 keeps the mr1 kernel, which skips the padded rows the
-      // wide tile would compute.
-      const bool pair =
-          wide != nullptr && m > 1 && jp + 1 < jp1 && j0 + 2 * kNR <= n;
+      const bool pair = kern.pair(m, n, j0, jp + 1 < jp1);
       for (int64_t kb = 0; kb < kblocks; ++kb) {
         const int64_t kk = kb * kBlockK;
         const int64_t kc = std::max<int64_t>(0, std::min(kBlockK, k - kk));
-        const float* ablock = apack + m_round * kk;
         const float* bpanel = bpack + n_round * kk + j0 * kc;
         const bool last = kb + 1 == kblocks;
-        const float beta_eff = kb == 0 ? beta : 1.0f;
-        for (int64_t ip = 0; ip < mpan; ++ip) {
-          const int64_t i0 = ip * kMR;
-          const int mr = static_cast<int>(std::min<int64_t>(kMR, m - i0));
-          simd::TileEpilogue te;
-          const simd::TileEpilogue* tep = nullptr;
-          if (last && !ep.empty()) {
-            te.row_scale = ep.row_scale != nullptr ? ep.row_scale + i0 : nullptr;
-            te.row_shift = ep.row_shift != nullptr ? ep.row_shift + i0 : nullptr;
-            te.col_scale = ep.col_scale != nullptr ? ep.col_scale + j0 : nullptr;
-            te.col_shift = ep.col_shift != nullptr ? ep.col_shift + j0 : nullptr;
-            te.act = ep.act;
-            tep = &te;
-          }
-          if (pair) {
-            wide(kc, ablock + i0 * kc, bpanel, kNR, bpanel + kNR * kc, kNR,
-                 c + i0 * ldc + j0, ldc, mr, alpha, beta_eff, tep);
-          } else {
-            (mr == 1 ? micro1 : micro)(kc, ablock + i0 * kc, bpanel, kNR,
-                                       c + i0 * ldc + j0, ldc, mr, nr, alpha,
-                                       beta_eff, tep);
-          }
-        }
+        tile_column(kern, m, kc, apack + m_round * kk, bpanel, kNR,
+                    pair ? bpanel + kNR * kc : nullptr, kNR, c, ldc, j0, nr,
+                    alpha, kb == 0 ? beta : 1.0f, last ? &ep : nullptr);
       }
       jp += pair ? 2 : 1;
     }
@@ -218,38 +243,36 @@ void run_packed(ThreadPool& pool, int64_t m, int64_t n, int64_t k, float alpha,
 void run_packed_b_rowmajor(ThreadPool& pool, int64_t m, int64_t n, int64_t k,
                            float alpha, const float* apack, const float* b,
                            int64_t ldb, float beta, float* c, int64_t ldc,
-                           const GemmEpilogue& ep, int max_width) {
-  if (m <= 0 || n <= 0) return;
-  const simd::MicroKernelFn micro = simd::micro_kernel();
-  const simd::MicroKernelFn micro1 = simd::micro_kernel_mr1();
-  const simd::MicroKernelWideFn wide = simd::micro_kernel_wide();
-  const int64_t mpan = ceil_div(m, kMR);
+                           const GemmEpilogue& ep, int max_width,
+                           const GemmBatch& batch) {
+  if (m <= 0 || n <= 0 || batch.count <= 0) return;
+  const F32Kernels kern;
   const int64_t npan = ceil_div(n, kNR);
-  const int64_t m_round = mpan * kMR;
+  const int64_t m_round = ceil_div(m, kMR) * kMR;
   const int64_t kblocks = std::max<int64_t>(1, ceil_div(k, kBlockK));
-  const auto body = [&](int64_t jp0, int64_t jp1) {
+  const auto body = [&](int64_t s0, int64_t s1) {
     // Scratch for the single ragged column panel (zero-padded); lives on the
     // worker's stack so tasks never contend.
     alignas(simd::kAlign) float edge[kBlockK * kNR];
-    for (int64_t jp = jp0; jp < jp1;) {
-      const int64_t j0 = jp * kNR;
+    for (int64_t s = s0; s < s1;) {
+      const int64_t img = s / npan;
+      const int64_t j0 = (s - img * npan) * kNR;
       const int nr = static_cast<int>(std::min<int64_t>(kNR, n - j0));
-      // Wide-tile pairing (see run_packed): two adjacent full panels of the
-      // in-place row-major B are 32 consecutive floats per row.
-      const bool pair =
-          wide != nullptr && m > 1 && jp + 1 < jp1 && j0 + 2 * kNR <= n;
+      const float* bimg = b + img * batch.b_stride;
+      // Two adjacent full panels of the in-place row-major B are 32
+      // consecutive floats per row.
+      const bool pair = kern.pair(m, n, j0, s + 1 < s1);
       for (int64_t kb = 0; kb < kblocks; ++kb) {
         const int64_t kk = kb * kBlockK;
         const int64_t kc = std::max<int64_t>(0, std::min(kBlockK, k - kk));
-        const float* ablock = apack + m_round * kk;
         const float* bpanel;
         int64_t bstride;
         if (nr == kNR) {
-          bpanel = b + kk * ldb + j0;  // in place: 16 floats per row
+          bpanel = bimg + kk * ldb + j0;  // in place: 16 floats per row
           bstride = ldb;
         } else {
           for (int64_t p = 0; p < kc; ++p) {
-            const float* src = b + (kk + p) * ldb + j0;
+            const float* src = bimg + (kk + p) * ldb + j0;
             for (int j = 0; j < nr; ++j) edge[p * kNR + j] = src[j];
             for (int j = nr; j < kNR; ++j) edge[p * kNR + j] = 0.0f;
           }
@@ -257,48 +280,28 @@ void run_packed_b_rowmajor(ThreadPool& pool, int64_t m, int64_t n, int64_t k,
           bstride = kNR;
         }
         const bool last = kb + 1 == kblocks;
-        const float beta_eff = kb == 0 ? beta : 1.0f;
-        for (int64_t ip = 0; ip < mpan; ++ip) {
-          const int64_t i0 = ip * kMR;
-          const int mr = static_cast<int>(std::min<int64_t>(kMR, m - i0));
-          simd::TileEpilogue te;
-          const simd::TileEpilogue* tep = nullptr;
-          if (last && !ep.empty()) {
-            te.row_scale = ep.row_scale != nullptr ? ep.row_scale + i0 : nullptr;
-            te.row_shift = ep.row_shift != nullptr ? ep.row_shift + i0 : nullptr;
-            te.col_scale = ep.col_scale != nullptr ? ep.col_scale + j0 : nullptr;
-            te.col_shift = ep.col_shift != nullptr ? ep.col_shift + j0 : nullptr;
-            te.act = ep.act;
-            tep = &te;
-          }
-          if (pair) {
-            wide(kc, ablock + i0 * kc, bpanel, bstride, bpanel + kNR, bstride,
-                 c + i0 * ldc + j0, ldc, mr, alpha, beta_eff, tep);
-          } else {
-            (mr == 1 ? micro1 : micro)(kc, ablock + i0 * kc, bpanel, bstride,
-                                       c + i0 * ldc + j0, ldc, mr, nr, alpha,
-                                       beta_eff, tep);
-          }
-        }
+        tile_column(kern, m, kc, apack + m_round * kk, bpanel, bstride,
+                    pair ? bpanel + kNR : nullptr, bstride,
+                    c + img * batch.c_stride, ldc, j0, nr, alpha,
+                    kb == 0 ? beta : 1.0f, last ? &ep : nullptr);
       }
-      jp += pair ? 2 : 1;
+      s += pair ? 2 : 1;
     }
   };
-  pool.parallel_for(npan, body, max_width);
+  pool.parallel_for(batch.count * npan, body, max_width);
 }
 
 void run_packed_b_producer(const ExecutionContext& ctx, int64_t m, int64_t n,
                            int64_t k, float alpha, const float* apack,
                            const PanelProducer& produce, float beta, float* c,
-                           int64_t ldc, const GemmEpilogue& ep) {
-  if (m <= 0 || n <= 0) return;
+                           int64_t ldc, const GemmEpilogue& ep,
+                           const GemmBatch& batch) {
+  if (m <= 0 || n <= 0 || batch.count <= 0) return;
   ThreadPool& pool = ctx.pool();
-  const simd::MicroKernelFn micro = simd::micro_kernel();
-  const simd::MicroKernelFn micro1 = simd::micro_kernel_mr1();
-  const simd::MicroKernelWideFn wide = simd::micro_kernel_wide();
-  const int64_t mpan = ceil_div(m, kMR);
+  const F32Kernels kern;
   const int64_t npan = ceil_div(n, kNR);
-  const int64_t m_round = mpan * kMR;
+  const int64_t slots = batch.count * npan;
+  const int64_t m_round = ceil_div(m, kMR) * kMR;
   const int64_t kblocks = std::max<int64_t>(1, ceil_div(k, kBlockK));
   // One scratch slab per parallel_for chunk — one [depth x kNR] panel,
   // doubled when the wide tile can consume panel pairs, where depth is the
@@ -311,57 +314,37 @@ void run_packed_b_producer(const ExecutionContext& ctx, int64_t m, int64_t n,
   // contract holds under a cap exactly as it does without one.
   ArenaScope scope(ctx.arena());
   const int width = ctx.intra_op_width();
-  const int64_t chunk = pool.chunk_size(npan, width);
+  const int64_t chunk = pool.chunk_size(slots, width);
   const int64_t panel_floats = std::min(k, kBlockK) * kNR;
-  const int64_t slab = (wide != nullptr ? 2 : 1) * panel_floats;
-  float* scratch = ctx.arena().alloc(ceil_div(npan, chunk) * slab);
-  const auto body = [&](int64_t jp0, int64_t jp1) {
+  const int64_t slab = (kern.wide != nullptr ? 2 : 1) * panel_floats;
+  float* scratch = ctx.arena().alloc(ceil_div(slots, chunk) * slab);
+  const auto body = [&](int64_t s0, int64_t s1) {
     // Slab aliasing here would mean silent output corruption, so the
     // chunk-origin contract (threadpool.h) is enforced in debug builds.
-    assert(jp0 % chunk == 0 && jp1 - jp0 <= chunk);
-    float* panel = scratch + (jp0 / chunk) * slab;
-    for (int64_t jp = jp0; jp < jp1;) {
-      const int64_t j0 = jp * kNR;
+    assert(s0 % chunk == 0 && s1 - s0 <= chunk);
+    float* panel = scratch + (s0 / chunk) * slab;
+    for (int64_t s = s0; s < s1;) {
+      const int64_t img = s / npan;
+      const int64_t j0 = (s - img * npan) * kNR;
       const int nr = static_cast<int>(std::min<int64_t>(kNR, n - j0));
-      // Wide-tile pairing (see run_packed): produce the neighbor panel into
-      // the second half of the slab and feed both to the 6x32 tile.
-      const bool pair =
-          wide != nullptr && m > 1 && jp + 1 < jp1 && j0 + 2 * kNR <= n;
+      // Wide-tile pairing: produce the neighbor panel into the second half
+      // of the slab and feed both to the 6x32 tile.
+      const bool pair = kern.pair(m, n, j0, s + 1 < s1);
       for (int64_t kb = 0; kb < kblocks; ++kb) {
         const int64_t kk = kb * kBlockK;
         const int64_t kc = std::max<int64_t>(0, std::min(kBlockK, k - kk));
-        produce(kk, kc, j0, nr, panel);
-        if (pair) produce(kk, kc, j0 + kNR, kNR, panel + panel_floats);
+        produce(img, kk, kc, j0, nr, panel);
+        if (pair) produce(img, kk, kc, j0 + kNR, kNR, panel + panel_floats);
         const bool last = kb + 1 == kblocks;
-        const float beta_eff = kb == 0 ? beta : 1.0f;
-        for (int64_t ip = 0; ip < mpan; ++ip) {
-          const int64_t i0 = ip * kMR;
-          const int mr = static_cast<int>(std::min<int64_t>(kMR, m - i0));
-          simd::TileEpilogue te;
-          const simd::TileEpilogue* tep = nullptr;
-          if (last && !ep.empty()) {
-            te.row_scale = ep.row_scale != nullptr ? ep.row_scale + i0 : nullptr;
-            te.row_shift = ep.row_shift != nullptr ? ep.row_shift + i0 : nullptr;
-            te.col_scale = ep.col_scale != nullptr ? ep.col_scale + j0 : nullptr;
-            te.col_shift = ep.col_shift != nullptr ? ep.col_shift + j0 : nullptr;
-            te.act = ep.act;
-            tep = &te;
-          }
-          if (pair) {
-            wide(kc, apack + m_round * kk + i0 * kc, panel, kNR,
-                 panel + panel_floats, kNR, c + i0 * ldc + j0, ldc, mr, alpha,
-                 beta_eff, tep);
-          } else {
-            (mr == 1 ? micro1 : micro)(kc, apack + m_round * kk + i0 * kc,
-                                       panel, kNR, c + i0 * ldc + j0, ldc, mr,
-                                       nr, alpha, beta_eff, tep);
-          }
-        }
+        tile_column(kern, m, kc, apack + m_round * kk, panel, kNR,
+                    pair ? panel + panel_floats : nullptr, kNR,
+                    c + img * batch.c_stride, ldc, j0, nr, alpha,
+                    kb == 0 ? beta : 1.0f, last ? &ep : nullptr);
       }
-      jp += pair ? 2 : 1;
+      s += pair ? 2 : 1;
     }
   };
-  pool.parallel_for(npan, body, width);
+  pool.parallel_for(slots, body, width);
 }
 
 // ------------------------------------------------------------------ int8 --
@@ -396,12 +379,14 @@ void pack_a_i8(int64_t m, int64_t k, const int8_t* a, int64_t lda,
 void run_packed_i8_producer(const ExecutionContext& ctx, int64_t m, int64_t n,
                             int64_t k, const int8_t* apack,
                             const PanelProducerU8& produce, float* c,
-                            int64_t ldc, const simd::QuantEpilogue& ep) {
-  if (m <= 0 || n <= 0) return;
+                            int64_t ldc, const simd::QuantEpilogue& ep,
+                            const GemmBatch& batch) {
+  if (m <= 0 || n <= 0 || batch.count <= 0) return;
   ThreadPool& pool = ctx.pool();
   const simd::MicroKernelI8Fn micro = simd::micro_kernel_i8();
   const int64_t mpan = ceil_div(m, kMR);
   const int64_t npan = ceil_div(n, kNR);
+  const int64_t slots = batch.count * npan;
   const int64_t kg = ceil_div(std::max<int64_t>(k, 1), kKG);
   const int64_t a_panel_bytes = kg * kMR * kKG;
   // No kBlockK slicing: the u7 x s8 dot product over the whole CIFAR-scale
@@ -411,29 +396,31 @@ void run_packed_i8_producer(const ExecutionContext& ctx, int64_t m, int64_t n,
   // 16th of the f32 producer's f32 slab at equal depth.
   ArenaScope scope(ctx.arena());
   const int width = ctx.intra_op_width();
-  const int64_t chunk = pool.chunk_size(npan, width);
-  const int64_t nchunks = ceil_div(npan, chunk);
+  const int64_t chunk = pool.chunk_size(slots, width);
+  const int64_t nchunks = ceil_div(slots, chunk);
   const int64_t slab_bytes = panel_b_i8_bytes(k);
   uint8_t* scratch = reinterpret_cast<uint8_t*>(
       ctx.arena().alloc(ceil_div(nchunks * slab_bytes,
                                  static_cast<int64_t>(sizeof(float)))));
-  const auto body = [&](int64_t jp0, int64_t jp1) {
-    assert(jp0 % chunk == 0 && jp1 - jp0 <= chunk);
-    uint8_t* panel = scratch + (jp0 / chunk) * slab_bytes;
-    for (int64_t jp = jp0; jp < jp1; ++jp) {
-      const int64_t j0 = jp * kNR;
+  const auto body = [&](int64_t s0, int64_t s1) {
+    assert(s0 % chunk == 0 && s1 - s0 <= chunk);
+    uint8_t* panel = scratch + (s0 / chunk) * slab_bytes;
+    for (int64_t s = s0; s < s1; ++s) {
+      const int64_t img = s / npan;
+      const int64_t j0 = (s - img * npan) * kNR;
       const int nr = static_cast<int>(std::min<int64_t>(kNR, n - j0));
-      produce(0, k, j0, nr, panel);
+      float* cimg = c + img * batch.c_stride;
+      produce(img, 0, k, j0, nr, panel);
       for (int64_t ip = 0; ip < mpan; ++ip) {
         const int64_t i0 = ip * kMR;
         const int mr = static_cast<int>(std::min<int64_t>(kMR, m - i0));
         const simd::QuantEpilogue te{ep.scale + i0, ep.shift + i0, ep.act};
-        micro(kg, apack + ip * a_panel_bytes, panel, c + i0 * ldc + j0, ldc,
+        micro(kg, apack + ip * a_panel_bytes, panel, cimg + i0 * ldc + j0, ldc,
               mr, nr, te);
       }
     }
   };
-  pool.parallel_for(npan, body, width);
+  pool.parallel_for(slots, body, width);
 }
 
 }  // namespace packdetail

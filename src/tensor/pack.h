@@ -82,40 +82,61 @@ void run_packed(ThreadPool& pool, int64_t m, int64_t n, int64_t k, float alpha,
                 const float* apack, const float* bpack, float beta, float* c,
                 int64_t ldc, const GemmEpilogue& ep, int max_width = 0);
 
+/// A batch of `count` GEMMs that share the packed A operand: problem i reads
+/// its row-major B at b + i * b_stride (run_packed_b_rowmajor only; the
+/// producer drivers pass i to the producer instead) and writes its C at
+/// c + i * c_stride. A conv layer is one such batch, one problem per image.
+/// The drivers shard all count * ceil(n / kNR) column panels in ONE
+/// parallel_for, so a batch of small images still fills the pool. Each
+/// element keeps its single k-ordered accumulation chain, so a batched call
+/// writes exactly the bits of `count` single calls. The default is one
+/// problem.
+struct GemmBatch {
+  int64_t count = 1;
+  int64_t b_stride = 0;
+  int64_t c_stride = 0;
+};
+
 /// Same contract, but the right operand is a row-major B [k, n] (row stride
 /// ldb) read IN PLACE: a full column panel of row-major B is already kNR
 /// contiguous floats per row, so only the ragged final panel (n % kNR != 0)
-/// is packed — into a small per-task scratch — and the im2col/colbuf B of
-/// the conv hot path never gets copied at all. Bit-identical to packing B
-/// first (same loads, same FMA order).
+/// is packed — into a small per-task scratch — so a 1x1 conv's input images
+/// are multiplied without a copy. Bit-identical to packing B first (same
+/// loads, same FMA order). `batch` repeats the GEMM over images.
 void run_packed_b_rowmajor(ThreadPool& pool, int64_t m, int64_t n, int64_t k,
                            float alpha, const float* apack, const float* b,
                            int64_t ldb, float beta, float* c, int64_t ldc,
-                           const GemmEpilogue& ep, int max_width = 0);
+                           const GemmEpilogue& ep, int max_width = 0,
+                           const GemmBatch& batch = {});
 
-/// Writes one B panel on demand: the [kc x nr] slab covering logical B rows
-/// [kk, kk+kc) and columns [j0, j0+nr), laid out [kc][kNR] at `panel` with
-/// columns [nr, kNR) zero-filled. This is how the conv hot path feeds the
-/// driver without ever materializing the right operand: the producer reads
-/// straight from the padded CHW image (im2col_pack_panel).
-using PanelProducer = std::function<void(int64_t kk, int64_t kc, int64_t j0,
-                                         int nr, float* panel)>;
+/// Writes one B panel on demand: the [kc x nr] slab of problem `img`'s B
+/// covering logical rows [kk, kk+kc) and columns [j0, j0+nr), laid out
+/// [kc][kNR] at `panel` with columns [nr, kNR) zero-filled. This is how the
+/// conv hot path feeds the driver without ever materializing the right
+/// operand: the producer reads straight from image `img` of the NCHW batch
+/// (im2col_pack_panel).
+using PanelProducer = std::function<void(int64_t img, int64_t kk, int64_t kc,
+                                         int64_t j0, int nr, float* panel)>;
 
 /// Same contract as run_packed_b_rowmajor, but the right operand is
 /// *produced* panel by panel instead of read from memory: `produce` is
-/// invoked once per (column panel, k-block) and must fill the scratch panel
-/// with exactly the bytes a packed B would hold there. Sharded over column
-/// panels on ctx's pool with one [min(k, kBlockK) x kNR] scratch slab per
-/// parallel_for chunk, allocated up front from ctx's arena (and rewound on
-/// return). Because the microkernel sees the same panel values in the same
-/// k order, results are bit-identical to materializing the B matrix and
-/// calling run_packed_b_rowmajor — and independent of the pool size.
-/// `produce` runs on worker threads: it must be thread-safe for disjoint
-/// panels and must not touch the arena or call parallel_for.
+/// invoked once per (image, column panel, k-block) and must fill the scratch
+/// panel with exactly the bytes a packed B would hold there. All
+/// batch.count * ceil(n / kNR) panels are sharded in one parallel_for on
+/// ctx's pool with one [min(k, kBlockK) x kNR] scratch slab per chunk
+/// (doubled for wide-tile pairs), allocated up front from ctx's arena and
+/// rewound on return — at most min(pool, intra-op width) slabs, whatever
+/// the batch. Because the microkernel sees the same panel values in the
+/// same k order, results are bit-identical to materializing each image's B
+/// matrix and calling run_packed_b_rowmajor — and independent of the pool
+/// size and the batch. `produce` runs on worker threads: it must be
+/// thread-safe for disjoint panels and must not touch the arena or call
+/// parallel_for.
 void run_packed_b_producer(const ExecutionContext& ctx, int64_t m, int64_t n,
                            int64_t k, float alpha, const float* apack,
                            const PanelProducer& produce, float beta, float* c,
-                           int64_t ldc, const GemmEpilogue& ep);
+                           int64_t ldc, const GemmEpilogue& ep,
+                           const GemmBatch& batch = {});
 
 // ------------------------------------------------------------------ int8 --
 //
@@ -137,28 +158,31 @@ int64_t panel_b_i8_bytes(int64_t k);
 void pack_a_i8(int64_t m, int64_t k, const int8_t* a, int64_t lda,
                int8_t* dst);
 
-/// Writes one u8 B panel on demand: the [kc x nr] activation slab covering
-/// B rows [kk, kk+kc) and columns [j0, j0+nr), QUANTIZED to u7 and laid out
+/// Writes one u8 B panel on demand: the [kc x nr] activation slab of problem
+/// `img` covering B rows [kk, kk+kc) and columns [j0, j0+nr), QUANTIZED to u7
+/// and laid out
 /// in the grouped int8 format at `panel` (group g holds taps kk+4g..kk+4g+3;
 /// element (p, j) at byte (p/4)*kNR*kKG + j*kKG + p%4). Columns [nr, kNR)
 /// and taps past kc must be zero-filled. The int8 driver always passes
 /// kk == 0, kc == k (no k slicing); the signature keeps the f32 producer's
 /// shape so the same lowering code can build either. Same thread-safety
 /// contract as PanelProducer.
-using PanelProducerU8 = std::function<void(int64_t kk, int64_t kc, int64_t j0,
-                                           int nr, uint8_t* panel)>;
+using PanelProducerU8 =
+    std::function<void(int64_t img, int64_t kk, int64_t kc, int64_t j0, int nr,
+                       uint8_t* panel)>;
 
 /// C[m, n] = ep(A_q * B_q) from a packed s8 A and produced u8 B panels.
 /// C is written, never accumulated into (the int8 path has no beta); the
 /// QuantEpilogue (never-null scale/shift of length m, pre-composed by the
-/// caller) is applied to every tile. Sharded over column panels with one
-/// full-depth u8 slab per parallel_for chunk from ctx's arena (rewound on
-/// return). Bits are identical across ISAs, pool sizes, and
-/// TBNET_DETERMINISTIC (see simd.h).
+/// caller) is applied to every tile. All batch.count * ceil(n / kNR) column
+/// panels are sharded in one parallel_for with one full-depth u8 slab per
+/// chunk from ctx's arena (rewound on return). Bits are identical across
+/// ISAs, pool sizes, batch sizes and TBNET_DETERMINISTIC (see simd.h).
 void run_packed_i8_producer(const ExecutionContext& ctx, int64_t m, int64_t n,
                             int64_t k, const int8_t* apack,
                             const PanelProducerU8& produce, float* c,
-                            int64_t ldc, const simd::QuantEpilogue& ep);
+                            int64_t ldc, const simd::QuantEpilogue& ep,
+                            const GemmBatch& batch = {});
 
 }  // namespace packdetail
 
@@ -215,7 +239,8 @@ class PackedGemm {
                   const GemmEpilogue& ep = {}) const;
 
   /// Raw packed panels (run_packed layout); for callers that drive the
-  /// packed driver themselves (Conv2d loops images around one packed weight).
+  /// packed driver themselves (Conv2d runs a whole batch against one packed
+  /// weight through the batched producer driver).
   const float* data() const { return data_; }
 
  private:

@@ -1006,6 +1006,38 @@ micro_i8_avx512vnni_z(int64_t kg, const int8_t* a_panel,
 #endif  // TBNET_SIMD_HAVE_VNNI
 #endif  // TBNET_SIMD_HAVE_AVX2
 
+// Panel row copy (im2col lowering): zeros outside [lo, hi), a contiguous run
+// inside. The AVX-512 form writes the run with one masked load and one
+// store, masked when len < kNR. Masked-off lanes are never accessed, so the
+// load may span past the input's end and the store stops at out[len). A run
+// that starts in the left padding (lo > 0) uses the expand form, which
+// places src[0, hi - lo) at lanes [lo, hi) without forming a pointer before
+// the input.
+
+void panel_row_scalar(const float* src, int lo, int hi, int len, float* out) {
+  for (int t = 0; t < lo; ++t) out[t] = 0.0f;
+  if (hi > lo) {
+    std::memcpy(out + lo, src, static_cast<size_t>(hi - lo) * sizeof(float));
+  }
+  for (int t = std::max(lo, hi); t < len; ++t) out[t] = 0.0f;
+}
+
+#if defined(TBNET_SIMD_HAVE_AVX512)
+__attribute__((target("avx512f"))) void panel_row_avx512(const float* src,
+                                                          int lo, int hi,
+                                                          int len, float* out) {
+  const auto lanes = [](int n) { return (1u << n) - 1u; };
+  const auto run = static_cast<__mmask16>(hi > lo ? lanes(hi) & ~lanes(lo) : 0);
+  const __m512 v = lo == 0 ? _mm512_maskz_loadu_ps(run, src)
+                           : _mm512_maskz_expandloadu_ps(run, src);
+  if (len == kNR) {
+    _mm512_storeu_ps(out, v);
+  } else {
+    _mm512_mask_storeu_ps(out, static_cast<__mmask16>(lanes(len)), v);
+  }
+}
+#endif  // TBNET_SIMD_HAVE_AVX512
+
 // Grouped-layout activation quantizers: one call fills a full 64-byte B
 // panel k-group, grp[j * kKG + t] = quantize_u7(row_t[j]). The SIMD forms
 // convert with cvtps2dq (round-to-nearest-even, exactly lrintf under the
@@ -1254,6 +1286,7 @@ struct Kernels {
   MicroKernelWideFn wide = nullptr;
   MicroKernelI8Fn micro_i8 = &micro_i8_scalar;
   QuantizeU7GroupFn quant_group = &quant_group_scalar;
+  PanelRowFn panel_row = &panel_row_scalar;
   const char* int8_name = "scalar";
   DwRowKernelFn dw_row = &dw_row_scalar;
   float (*dot)(const float*, const float*, int64_t) = &dot_scalar;
@@ -1287,6 +1320,7 @@ Kernels select_kernels() {
 #if defined(TBNET_SIMD_HAVE_AVX512)
     if (__builtin_cpu_supports("avx512f")) {
       k.quant_group = &quant_group_avx512;
+      k.panel_row = &panel_row_avx512;
     }
 #endif
 #if defined(TBNET_SIMD_HAVE_VNNI)
@@ -1345,6 +1379,10 @@ MicroKernelI8Fn micro_kernel_i8_reference() { return &micro_i8_scalar; }
 QuantizeU7GroupFn quantize_u7_group() {
   return fast_kernels_enabled() ? kernels().quant_group : &quant_group_scalar;
 }
+PanelRowFn panel_row_copy() {
+  return fast_kernels_enabled() ? kernels().panel_row : &panel_row_scalar;
+}
+PanelRowFn panel_row_copy_reference() { return &panel_row_scalar; }
 DwRowKernelFn dw_row_kernel() { return kernels().dw_row; }
 
 void require_known_act(Act act) {

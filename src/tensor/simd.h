@@ -144,6 +144,23 @@ using MicroKernelWideFn = void (*)(int64_t kc, const float* a_panel,
                                    const TileEpilogue* ep);
 MicroKernelWideFn micro_kernel_wide();
 
+// ------------------------------------------------------------ lowering ----
+
+/// Fills one run of an im2col B panel row from a contiguous input run:
+/// out[t] = src[t - lo] for t in [lo, hi), out[t] = 0 for the rest of
+/// [0, len), len <= kNR; nothing past out[len) is written. `src` addresses
+/// the element lane lo takes, so it points inside the input even when the
+/// run starts in the left padding; it is read only when lo < hi. This is
+/// the fused lowering's stride-1 copy: one call per tap row and output-row
+/// segment of the panel. A pure copy — every tier writes the same bytes, and
+/// the accessor pins the scalar loop under TBNET_DETERMINISTIC=1.
+using PanelRowFn = void (*)(const float* src, int lo, int hi, int len,
+                            float* out);
+PanelRowFn panel_row_copy();
+
+/// The scalar panel row — the parity oracle the SIMD tier is tested against.
+PanelRowFn panel_row_copy_reference();
+
 // ---------------------------------------------------------------- int8 ----
 //
 // Quantized GEMM microkernels: s8 weights x u8 activations with i32

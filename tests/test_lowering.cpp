@@ -1,7 +1,8 @@
 // Tests for the zero-materialization conv lowering path and the
 // multi-threaded packed GEMM driver: fused im2col→panel producer vs the
-// materialized column matrix (bit parity across edge geometries), the direct
-// 1x1 in-place path, arena high-water accounting (no column buffer on the
+// materialized column matrix (bit parity across edge geometries) and its
+// panel row copy tiers, batched vs per-image conv bits, the direct 1x1
+// in-place path, arena high-water accounting (no column buffer on the
 // packed path), pool-size determinism, the packed gemm_tn variant, and the
 // DepthwiseConv2d bias (model format v2, loader back-compat).
 
@@ -19,6 +20,7 @@
 #include "nn/conv2d.h"
 #include "nn/depthwise.h"
 #include "nn/fuse.h"
+#include "nn/quant.h"
 #include "nn/sequential.h"
 #include "nn/serialize.h"
 #include "tensor/gemm.h"
@@ -49,6 +51,9 @@ struct ConvCase {
 // Edge geometries: padding, stride 2, 1x1 (direct and strided), a kernel
 // wider than the pad, ragged oh*ow (not a multiple of the vector width),
 // k < kBlockK and k crossing the packed driver's k-block (in_c*9 > 640).
+// The last four cover the panel row copy's cases: a whole output row per
+// panel row (16x16), two output rows per panel row (8x8), the strided
+// gather on a serving-size map, and rows narrower than a panel.
 const ConvCase kConvCases[] = {
     {"stem_3x3_pad1", 3, 16, 32, 32, 3, 1, 1},
     {"ragged_3x3_pad1", 8, 6, 11, 9, 3, 1, 1},
@@ -58,6 +63,10 @@ const ConvCase kConvCases[] = {
     {"pw_1x1_stride2", 16, 8, 9, 9, 1, 2, 0},
     {"deep_k_crosses_block", 80, 4, 8, 8, 3, 1, 1},
     {"no_pad_3x3", 2, 3, 6, 6, 3, 1, 0},
+    {"map16_3x3_stride1", 4, 8, 16, 16, 3, 1, 1},
+    {"map8_3x3_two_segments", 6, 8, 8, 8, 3, 1, 1},
+    {"map32_3x3_stride2", 4, 8, 32, 32, 3, 2, 1},
+    {"narrow_3x3_w5", 3, 4, 12, 5, 3, 1, 1},
 };
 
 /// The materialized packed path the fused lowering replaced: full im2col
@@ -103,7 +112,9 @@ Conv2dGeom geom_of(const ConvCase& c) {
 TEST(FusedLowering, PanelProducerMatchesMaterializedIm2col) {
   // Pure data check, independent of the kernel mode: every panel the fused
   // producer writes must hold exactly the bytes the materialized column
-  // matrix holds at the same coordinates.
+  // matrix holds at the same coordinates. Short panels start mid-tap; the
+  // full-depth panel (kk = 0, kc = rows) steps the taps across every channel
+  // boundary, as the driver's single-k-block panels do.
   Rng rng(21);
   for (const ConvCase& c : kConvCases) {
     const Conv2dGeom g = geom_of(c);
@@ -112,22 +123,65 @@ TEST(FusedLowering, PanelProducerMatchesMaterializedIm2col) {
     std::vector<float> colbuf(static_cast<size_t>(rows * cols));
     im2col(g, img.data(), colbuf.data());
     const int64_t stride = simd::kNR;
-    std::vector<float> panel(static_cast<size_t>(stride));
-    for (int64_t kk : {int64_t{0}, rows / 2, rows - 1}) {
+    std::vector<float> panel;
+    const struct { int64_t kk, kc; } slices[] = {
+        {0, std::min<int64_t>(rows, 3)},
+        {rows / 2, std::min<int64_t>(rows - rows / 2, 3)},
+        {rows - 1, 1},
+        {0, rows},
+    };
+    for (const auto& sl : slices) {
       for (int64_t j0 = 0; j0 < cols; j0 += stride) {
         const int nr = static_cast<int>(std::min<int64_t>(stride, cols - j0));
-        const int64_t kc = std::min<int64_t>(rows - kk, 3);
-        panel.assign(static_cast<size_t>(kc * stride), -7.0f);
-        im2col_pack_panel(g, img.data(), kk, kc, j0, nr, stride, panel.data());
-        for (int64_t p = 0; p < kc; ++p) {
+        panel.assign(static_cast<size_t>(sl.kc * stride), -7.0f);
+        im2col_pack_panel(g, img.data(), sl.kk, sl.kc, j0, nr, stride,
+                          panel.data());
+        for (int64_t p = 0; p < sl.kc; ++p) {
           for (int64_t j = 0; j < stride; ++j) {
             const float want =
-                j < nr ? colbuf[static_cast<size_t>((kk + p) * cols + j0 + j)]
-                       : 0.0f;
+                j < nr
+                    ? colbuf[static_cast<size_t>((sl.kk + p) * cols + j0 + j)]
+                    : 0.0f;
             ASSERT_EQ(panel[static_cast<size_t>(p * stride + j)], want)
-                << c.name << " kk=" << kk << " j0=" << j0 << " p=" << p
-                << " j=" << j;
+                << c.name << " kk=" << sl.kk << " kc=" << sl.kc
+                << " j0=" << j0 << " p=" << p << " j=" << j;
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedLowering, PanelRowTiersMatch) {
+  // The dispatched panel row copy (AVX-512 where the host has it) against
+  // the scalar tier, for every run shape: each source holds exactly the
+  // hi - lo floats the run reads, so a read past it is a heap overflow
+  // under ASan, and lanes past len must stay untouched.
+  const simd::PanelRowFn tier = simd::panel_row_copy();
+  const simd::PanelRowFn ref = simd::panel_row_copy_reference();
+  for (int len = 0; len <= simd::kNR; ++len) {
+    for (int lo = 0; lo <= len; ++lo) {
+      for (int hi = lo; hi <= len; ++hi) {
+        std::vector<float> src(static_cast<size_t>(hi - lo));
+        for (size_t t = 0; t < src.size(); ++t) {
+          src[t] = 1.0f + static_cast<float>(t);
+        }
+        const float probe = 0.0f;  // read by neither tier when hi == lo
+        const float* at = hi > lo ? src.data() : &probe;
+        std::vector<float> got(simd::kNR + 1, -7.0f), want = got;
+        tier(at, lo, hi, len, got.data());
+        ref(at, lo, hi, len, want.data());
+        for (int t = 0; t <= simd::kNR; ++t) {
+          const float expect =
+              t >= len ? -7.0f
+                       : (t >= lo && t < hi ? src[static_cast<size_t>(t - lo)]
+                                            : 0.0f);
+          ASSERT_EQ(want[static_cast<size_t>(t)], expect)
+              << "scalar len=" << len << " lo=" << lo << " hi=" << hi
+              << " t=" << t;
+          ASSERT_EQ(got[static_cast<size_t>(t)], expect)
+              << simd::isa_name() << " len=" << len << " lo=" << lo
+              << " hi=" << hi << " t=" << t;
         }
       }
     }
@@ -153,6 +207,54 @@ TEST(FusedLowering, ConvForwardMatchesMaterializedBitwise) {
     ASSERT_EQ(got.shape(), want.shape()) << c.name;
     for (int64_t i = 0; i < got.numel(); ++i) {
       ASSERT_EQ(got[i], want[i]) << c.name << " at " << i;
+    }
+  }
+}
+
+TEST(FusedLowering, BatchedConvMatchesSingleImageCallsBitwise) {
+  // One conv call folds the batch into one driver call, whose panel slots
+  // span images; pool 3 puts chunk boundaries mid-image. Each image's bytes
+  // must equal a batch-1 call's, in f32 and through the int8 driver.
+  constexpr int64_t kBatch = 5;
+  Rng rng(37);
+  for (const ConvCase& c : kConvCases) {
+    nn::Conv2d conv(c.in_c, c.out_c,
+                    {.kernel = c.kernel, .stride = c.stride, .pad = c.pad,
+                     .bias = true},
+                    rng);
+    for (int64_t o = 0; o < c.out_c; ++o) {
+      conv.bias()[o] = 0.1f * static_cast<float>(o) - 0.2f;
+    }
+    const Tensor x = Tensor::randn(Shape{kBatch, c.in_c, c.ih, c.iw}, rng);
+    nn::Conv2d qconv = conv;
+    {
+      ExecutionContext cal;
+      nn::quantize_for_inference(qconv, cal, x);
+    }
+    const int64_t in_stride = c.in_c * c.ih * c.iw;
+    for (nn::Conv2d* layer : {&conv, &qconv}) {
+      const char* mode = layer == &conv ? "f32" : "int8";
+      for (int threads : {1, 2, 3, 4}) {
+        ThreadPool pool(threads);
+        ExecutionContext ctx;
+        ctx.set_pool(&pool);
+        const Tensor batched = layer->forward(ctx, x, false);
+        const int64_t out_stride = batched.numel() / kBatch;
+        for (int64_t i = 0; i < kBatch; ++i) {
+          Tensor xi(Shape{1, c.in_c, c.ih, c.iw});
+          std::memcpy(xi.data(), x.data() + i * in_stride,
+                      static_cast<size_t>(in_stride) * sizeof(float));
+          const Tensor single = layer->forward(ctx, xi, false);
+          ASSERT_EQ(single.numel(), out_stride);
+          ASSERT_EQ(std::memcmp(single.data(),
+                                batched.data() + i * out_stride,
+                                static_cast<size_t>(out_stride) *
+                                    sizeof(float)),
+                    0)
+              << c.name << " " << mode << " threads=" << threads
+              << " image=" << i;
+        }
+      }
     }
   }
 }

@@ -248,7 +248,9 @@ TEST(Int8Kernel, DriverMatchesNaiveIntegerGemmBitwise) {
     std::vector<float> got(static_cast<size_t>(m * n), -1e30f);
     packdetail::run_packed_i8_producer(
         ctx, m, n, k, apack.data(),
-        [&](int64_t kk, int64_t kc, int64_t j0, int nr, uint8_t* panel) {
+        [&](int64_t img, int64_t kk, int64_t kc, int64_t j0, int nr,
+            uint8_t* panel) {
+          ASSERT_EQ(img, 0);
           ASSERT_EQ(kk, 0);
           ASSERT_EQ(kc, k);
           ASSERT_GT(nr, 0);

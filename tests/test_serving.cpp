@@ -294,8 +294,9 @@ TEST(DeployedTBNetBatch, RejectsOversizedBatch) {
   core::TwoBranchModel tb = models::build_two_branch(victim, cfg);
   tee::SecureWorld world;
   tee::TeeContext ctx(world);
-  DeployedTBNet deployed(tb, ctx, "tbnet-small-batch",
-                         DeployedTBNet::Options{.max_batch = 2});
+  DeployedTBNet::Options opts;
+  opts.max_batch = 2;
+  DeployedTBNet deployed(tb, ctx, "tbnet-small-batch", opts);
   Rng rng(10);
   EXPECT_THROW(deployed.infer_batch(random_batch(3, rng)),
                std::invalid_argument);

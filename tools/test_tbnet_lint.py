@@ -81,6 +81,15 @@ class HotPathHeapTest(LintFixture):
             """)
         self.assertEqual(self.rules_fired(), ["hot-path-heap"])
 
+    def test_heap_in_panel_producer_fires(self):
+        self.put("src/tensor/im2col.cpp", """\
+            void im2col_pack_panel(float* panel) {
+              std::vector<float> row(16);
+              row.resize(32);
+            }
+            """)
+        self.assertEqual(self.rules_fired(), ["hot-path-heap"])
+
 
 class EnumSwitchTest(LintFixture):
     ENUM_HEADER = """\
